@@ -1,4 +1,5 @@
-//! CI perf gate for the GP sliding-window eviction path.
+//! CI perf gate for the GP hot paths: sliding-window eviction and the
+//! batched candidate posterior.
 //!
 //! Measures the at-capacity `observe` cost (evict + bordered append) at
 //! the paper-scale window `T = 200` under both eviction strategies and
@@ -13,18 +14,31 @@
 //!   machine-independent, so this arm still bites on CI runners much
 //!   slower or faster than the baseline box.
 //!
-//! A batched-posterior sanity bound rides along: the `T = 200`,
-//! `M = 1000` batch predict must stay under `EDGEBOL_GATE_BATCH_US`
-//! (default 50 000 µs, ~2× the measured figure — a coarse tripwire for
-//! accidental de-batching, not a tight regression bound).
+//! Two batched-posterior bounds ride along:
 //!
-//! Medians over `EDGEBOL_GATE_SAMPLES` (default 30) individually-timed
-//! steady-state iterations after 3 warm-ups each; deterministic
-//! workload, no RNG.
+//! * the `T = 200`, `M = 1000` batch predict must stay under
+//!   `EDGEBOL_GATE_BATCH_US` (default 50 000 µs, ~2× the measured figure —
+//!   a coarse tripwire for accidental de-batching, not a tight regression
+//!   bound);
+//! * the paper learner's full-window posterior, `T = 800` over
+//!   `M = 2100` candidates (one of the three `predict_batch` calls of a
+//!   steady-state period), must stay under the fixed
+//!   `POSTERIOR_T800_BOUND_US` (600 000 µs, ~2× the 215–345 ms median of
+//!   the tiled posterior on the 2-core baseline box, EXPERIMENTS.md
+//!   §Tiled posterior). Like the `M = 1000` arm it is a tripwire for
+//!   gross regressions, not a tight bound.
+//!
+//! Medians over `EDGEBOL_GATE_SAMPLES` (default 30; at most 10 for the
+//! `M = 1000` posterior and 5 for the `T = 800` one) individually-timed
+//! steady-state iterations after 3 warm-ups each; deterministic workload,
+//! no RNG.
 
 use edgebol_bench::env::usize_knob;
 use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
 use std::time::Instant;
+
+/// Bound on the `T = 800`, `M = 2100` posterior median, in microseconds.
+const POSTERIOR_T800_BOUND_US: f64 = 600_000.0;
 
 /// Deterministically filled GP at exactly its window capacity.
 fn gp_at_cap(cap: usize, strategy: EvictStrategy) -> GaussianProcess {
@@ -84,13 +98,21 @@ fn main() {
     let batch = median_us(samples.min(10), &mut gp_down, |gp| {
         gp.predict_batch(&queries);
     });
+    let mut gp_full = gp_at_cap(800, EvictStrategy::Downdate);
+    let candidates: Vec<f64> = (0..2100 * 7).map(|i| (i % 89) as f64 / 89.0).collect();
+    let posterior = median_us(samples.min(5), &mut gp_full, |gp| {
+        gp.predict_batch(&candidates);
+    });
 
     let ratio = rebuild / downdate;
-    println!("perf gate (median over {samples} samples, window T=200):");
+    println!("perf gate (median over {samples} samples, window T=200 unless named):");
     println!("  gp_evict_downdate_T200          {downdate:10.1} us  (bound {evict_bound_us} us)");
     println!("  gp_observe_evict_refactor_T200  {rebuild:10.1} us");
     println!("  rebuild/downdate ratio          {ratio:10.1}x   (bound >= {min_ratio}x)");
     println!("  gp_predict_batch_T200_M1000     {batch:10.1} us  (bound {batch_bound_us} us)");
+    println!(
+        "  gp_predict_batch_T800_M2100     {posterior:10.1} us  (bound {POSTERIOR_T800_BOUND_US} us)"
+    );
 
     let mut failed = false;
     if downdate > evict_bound_us {
@@ -103,6 +125,12 @@ fn main() {
     }
     if batch > batch_bound_us {
         eprintln!("FAIL: batched posterior {batch:.1} us exceeds the {batch_bound_us} us bound");
+        failed = true;
+    }
+    if posterior > POSTERIOR_T800_BOUND_US {
+        eprintln!(
+            "FAIL: T=800 posterior {posterior:.1} us exceeds the {POSTERIOR_T800_BOUND_US} us bound"
+        );
         failed = true;
     }
     if failed {

@@ -1,7 +1,7 @@
 //! Exact GP regression with incremental Cholesky updates.
 
 use crate::{GpError, Kernel};
-use edgebol_linalg::{vecops, Cholesky, Mat};
+use edgebol_linalg::{solve_lower_strided, vecops, Cholesky, Mat, SOLVE_TILE};
 
 /// How [`GaussianProcess::observe`] makes room when the sliding window is
 /// full.
@@ -298,9 +298,19 @@ impl GaussianProcess {
     /// Batched posterior over many candidate points.
     ///
     /// `points` is a flat row-major `(m x dim)` slice. Returns `(means,
-    /// stds)` of length `m`. This is the hot path of the acquisition step:
-    /// the cross-kernel matrix is solved once with a matrix right-hand side
-    /// instead of `m` separate triangular solves.
+    /// stds)` of length `m`. This is the hot path of the acquisition step.
+    ///
+    /// The candidates are processed in tiles of [`SOLVE_TILE`] columns.
+    /// Per tile, that slice of the cross-kernel matrix `K*` is built into
+    /// one reused `n x SOLVE_TILE` buffer, the means are accumulated from
+    /// it, it is solved in place against the Cholesky factor
+    /// ([`solve_lower_strided`]), and the variances are accumulated from
+    /// the solved tile. `K*` and `V = L^{-1} K*` are never built whole, and
+    /// the tile being solved stays cache-resident. Every output element
+    /// keeps the operation sequence of an untiled evaluation (kernel
+    /// evaluation; mean over ascending `i`; forward substitution over
+    /// ascending `j`; sum of squares over ascending `i`), so the tiling is
+    /// bit-for-bit invisible.
     ///
     /// # Panics
     /// Panics if `points.len()` is not a multiple of `kernel.dim()`.
@@ -313,24 +323,35 @@ impl GaussianProcess {
         }
         self.refresh_alpha();
         let n = self.len();
-        // Cross kernel matrix K* with shape (n x m).
-        let kcross =
-            Mat::from_fn(n, m, |i, j| self.kernel.eval(self.x(i), &points[j * d..(j + 1) * d]));
+        let prior = self.kernel.prior_var();
         let mut means = vec![0.0; m];
-        for i in 0..n {
-            vecops::axpy(self.alpha[i], kcross.row(i), &mut means);
+        let mut stds = vec![0.0; m];
+        let mut tile = vec![0.0; n * SOLVE_TILE.min(m)];
+        for c0 in (0..m).step_by(SOLVE_TILE) {
+            let w = SOLVE_TILE.min(m - c0);
+            let tile = &mut tile[..n * w];
+            let tile_points = &points[c0 * d..(c0 + w) * d];
+            // This tile of the cross-kernel matrix K* (n x w).
+            for (i, row) in tile.chunks_exact_mut(w).enumerate() {
+                let xi = self.x(i);
+                for (k, z) in row.iter_mut().zip(tile_points.chunks_exact(d)) {
+                    *k = self.kernel.eval(xi, z);
+                }
+            }
+            let tile_means = &mut means[c0..c0 + w];
+            for (row, &a) in tile.chunks_exact(w).zip(&self.alpha) {
+                vecops::axpy(a, row, tile_means);
+            }
+            solve_lower_strided(self.chol.factor_l(), tile, w, 0..w);
+            let tile_vars = &mut stds[c0..c0 + w];
+            for row in tile.chunks_exact(w) {
+                for (s, &vij) in tile_vars.iter_mut().zip(row) {
+                    *s += vij * vij;
+                }
+            }
         }
         for mu in &mut means {
             *mu += self.y_mean;
-        }
-        let v = self.chol.half_solve_mat(&kcross);
-        let prior = self.kernel.prior_var();
-        let mut stds = vec![0.0; m];
-        for i in 0..n {
-            let row = v.row(i);
-            for (s, &vij) in stds.iter_mut().zip(row) {
-                *s += vij * vij;
-            }
         }
         for s in &mut stds {
             *s = (prior - *s).max(0.0).sqrt();
@@ -797,5 +818,101 @@ mod tests {
         let (mo, so) = oracle.predict(&[0.4]);
         assert!((m - mo).abs() < 1e-12);
         assert!((s - so).abs() < 1e-12);
+    }
+
+    /// Bit-exactness of the tiled, fused [`GaussianProcess::predict_batch`]
+    /// against the untiled evaluation it replaced.
+    mod tiling {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The untiled posterior, as `predict_batch` computed it before
+        /// column tiling: the whole `n x m` cross-kernel matrix, the means
+        /// from it, the half solve, then the variances.
+        fn untiled_predict_batch(gp: &mut GaussianProcess, points: &[f64]) -> (Vec<f64>, Vec<f64>) {
+            let d = gp.kernel.dim();
+            let m = points.len() / d;
+            if gp.is_empty() {
+                return (vec![0.0; m], vec![gp.kernel.prior_var().sqrt(); m]);
+            }
+            gp.refresh_alpha();
+            let n = gp.len();
+            let kcross =
+                Mat::from_fn(n, m, |i, j| gp.kernel.eval(gp.x(i), &points[j * d..(j + 1) * d]));
+            let mut means = vec![0.0; m];
+            for i in 0..n {
+                vecops::axpy(gp.alpha[i], kcross.row(i), &mut means);
+            }
+            for mu in &mut means {
+                *mu += gp.y_mean;
+            }
+            // V column by column through the scalar recurrence, which the
+            // linalg tests pin bit-identical to the blocked solves.
+            let prior = gp.kernel.prior_var();
+            let mut stds = vec![0.0; m];
+            for (j, s) in stds.iter_mut().enumerate() {
+                let col: Vec<f64> = (0..n).map(|i| kcross[(i, j)]).collect();
+                for vij in gp.chol.half_solve(&col) {
+                    *s += vij * vij;
+                }
+            }
+            for s in &mut stds {
+                *s = (prior - *s).max(0.0).sqrt();
+            }
+            (means, stds)
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// Window lengths spanning one, two and several solve panels.
+        const WINDOWS: [usize; 3] = [1, 33, 200];
+        /// Candidate counts: none, one, one past a tile, a ragged tail.
+        const CANDIDATES: [usize; 4] = [0, 1, SOLVE_TILE + 1, 3 * SOLVE_TILE + 5];
+        const DIM: usize = 3;
+
+        proptest! {
+            #[test]
+            fn tiled_posterior_is_bit_identical_to_untiled(
+                xs in proptest::collection::vec(0.0f64..1.0, 200 * DIM),
+                ys in proptest::collection::vec(-5.0f64..5.0, 200),
+                qs in proptest::collection::vec(-0.5f64..1.5, (3 * SOLVE_TILE + 5) * DIM),
+                ell in 0.1f64..1.0,
+            ) {
+                let kernel = Kernel::matern32(1.5, vec![ell, 0.5 * ell + 0.1, 0.8]);
+                let mut gp = GaussianProcess::new(kernel, 1e-3);
+                let mut observed = 0;
+                for t in WINDOWS {
+                    while observed < t {
+                        gp.observe(&xs[observed * DIM..(observed + 1) * DIM], ys[observed])
+                            .unwrap();
+                        observed += 1;
+                    }
+                    for m in CANDIDATES {
+                        let q = &qs[..m * DIM];
+                        let (tm, ts) = gp.predict_batch(q);
+                        let (um, us) = untiled_predict_batch(&mut gp, q);
+                        prop_assert_eq!(bits(&tm), bits(&um), "means, T = {}, M = {}", t, m);
+                        prop_assert_eq!(bits(&ts), bits(&us), "stds, T = {}, M = {}", t, m);
+                    }
+                }
+            }
+
+            #[test]
+            fn empty_gp_posterior_is_the_prior(
+                qs in proptest::collection::vec(-0.5f64..1.5, (3 * SOLVE_TILE + 5) * DIM),
+            ) {
+                let mut gp = GaussianProcess::new(Kernel::matern32(1.5, vec![0.4; DIM]), 1e-3);
+                for m in CANDIDATES {
+                    let q = &qs[..m * DIM];
+                    let (tm, ts) = gp.predict_batch(q);
+                    let (um, us) = untiled_predict_batch(&mut gp, q);
+                    prop_assert_eq!(bits(&tm), bits(&um));
+                    prop_assert_eq!(bits(&ts), bits(&us));
+                    prop_assert!(ts.iter().all(|&s| s == 1.5f64.sqrt()));
+                }
+            }
+        }
     }
 }

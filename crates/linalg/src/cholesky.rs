@@ -231,11 +231,6 @@ impl Cholesky {
         solve_lower(&self.l, b)
     }
 
-    /// Batched half solve with matrix right-hand side (`n x m`).
-    pub fn half_solve_mat(&self, b: &Mat) -> Mat {
-        solve_lower_mat(&self.l, b)
-    }
-
     /// Batched solve `A X = B` with a matrix right-hand side (`n x m`):
     /// both triangular solves run once over all columns instead of `m`
     /// separate vector solves, which is the posterior hot path when many
@@ -478,20 +473,5 @@ mod tests {
         let x = c.solve(&b);
         let quad2: f64 = crate::vecops::dot(&b, &x);
         assert!((quad - quad2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn half_solve_mat_matches_vector_half_solves() {
-        let a = random_spd(5, 11);
-        let c = Cholesky::factor(&a).unwrap();
-        let b = Mat::from_fn(5, 3, |i, j| (i + j) as f64 * 0.5 - 1.0);
-        let x = c.half_solve_mat(&b);
-        for col in 0..3 {
-            let bcol: Vec<f64> = (0..5).map(|r| b[(r, col)]).collect();
-            let want = c.half_solve(&bcol);
-            for r in 0..5 {
-                assert!((x[(r, col)] - want[r]).abs() < 1e-10);
-            }
-        }
     }
 }

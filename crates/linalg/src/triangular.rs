@@ -1,6 +1,7 @@
 //! Forward and backward substitution against triangular factors.
 
 use crate::Mat;
+use std::ops::Range;
 
 /// Solves `L x = b` where `L` is lower-triangular (forward substitution).
 ///
@@ -52,52 +53,73 @@ pub fn solve_upper(l: &Mat, b: &[f64]) -> Vec<f64> {
 /// the compiler can vectorize freely.
 const SOLVE_BLOCK: usize = 32;
 
-/// Solves `L X = B` where `B` is `n x m` (forward substitution with a
-/// matrix right-hand side). Returns an `n x m` matrix.
+/// Column-tile width of the matrix-RHS solves. [`solve_lower_mat`] and
+/// [`solve_upper_mat`] sweep their right-hand side one tile of columns at
+/// a time, so the `n x SOLVE_TILE` slice being solved stays cache-resident
+/// across every row panel instead of the whole `n x m` right-hand side
+/// streaming from memory once per panel. Batched callers (the GP
+/// posterior) build their right-hand side in tiles of this width.
+pub const SOLVE_TILE: usize = 64;
+
+/// Checks the shape contract shared by the strided kernels and returns
+/// the tile width.
+fn tile_width(l: &Mat, x: &[f64], stride: usize, cols: &Range<usize>, what: &str) -> usize {
+    assert!(l.is_square(), "{what}: matrix must be square");
+    assert!(cols.start <= cols.end && cols.end <= stride, "{what}: column range outside stride");
+    assert_eq!(x.len(), l.rows() * stride, "{what}: rhs length must be rows * stride");
+    cols.end - cols.start
+}
+
+/// Solves `L X = B` in place on the columns `cols` of a row-major
+/// right-hand side `x` with `l.rows()` rows and row stride `stride`
+/// (forward substitution). Columns outside `cols` are left untouched.
 ///
-/// This is the hot path of batched GP posterior evaluation: the rows are
-/// processed in panels of `SOLVE_BLOCK` rows, with split borrows
-/// ([`Mat::split_rows_mut`]) separating already-final rows from the rows
-/// being updated so the inner loops are clone-free [`crate::vecops::axpy`]
-/// sweeps over whole rows. The accumulation order (ascending `j`, then one
-/// division by the diagonal) is identical to the scalar recurrence, so
-/// results are bit-for-bit the same as column-wise vector solves.
+/// This is the panel kernel behind [`solve_lower_mat`] and the tiled GP
+/// posterior. Rows are processed in panels of `SOLVE_BLOCK` rows, with
+/// split borrows separating already-final rows from the rows being
+/// updated so the inner loops are clone-free [`crate::vecops::axpy`]
+/// sweeps over contiguous row slices. Every element keeps the scalar
+/// recurrence of [`solve_lower`] (ascending `j`, zero coefficients
+/// skipped, then one division by the diagonal), so the result is
+/// bit-for-bit that of column-wise vector solves, whatever the stride or
+/// column range.
 ///
 /// # Panics
-/// Panics if `l` is not square or `b.rows() != l.rows()`.
-pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
-    assert!(l.is_square(), "solve_lower_mat: matrix must be square");
-    assert_eq!(b.rows(), l.rows(), "solve_lower_mat: rhs rows mismatch");
+/// Panics if `l` is not square, `cols` does not fit in `stride`, or
+/// `x.len() != l.rows() * stride`.
+pub fn solve_lower_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<usize>) {
+    let w = tile_width(l, x, stride, &cols, "solve_lower_strided");
     let n = l.rows();
-    let m = b.cols();
-    let mut x = b.clone();
+    let c0 = cols.start;
     let mut bs = 0;
     while bs < n {
         let be = (bs + SOLVE_BLOCK).min(n);
         // Panel update: X[bs..be] -= L[bs..be, 0..bs] * X[0..bs]. Every
         // referenced X row is final, so this is a dense block product.
-        let (done, active) = x.split_rows_mut(bs);
+        let (done, active) = x.split_at_mut(bs * stride);
         for i in bs..be {
             let lrow = &l.row(i)[..bs];
-            let xrow = &mut active[(i - bs) * m..(i - bs + 1) * m];
+            let xi = (i - bs) * stride + c0;
+            let xrow = &mut active[xi..xi + w];
             for (j, &lij) in lrow.iter().enumerate() {
                 if lij == 0.0 {
                     continue;
                 }
-                crate::vecops::axpy(-lij, &done[j * m..(j + 1) * m], xrow);
+                let xj = j * stride + c0;
+                crate::vecops::axpy(-lij, &done[xj..xj + w], xrow);
             }
         }
         // Diagonal block: forward substitution within the panel.
         for i in bs..be {
-            let (done, active) = x.split_rows_mut(i);
-            let xrow = &mut active[..m];
+            let (done, active) = x.split_at_mut(i * stride);
+            let xrow = &mut active[c0..c0 + w];
             let lrow = l.row(i);
-            for j in bs..i {
-                let lij = lrow[j];
+            for (j, &lij) in lrow[..i].iter().enumerate().skip(bs) {
                 if lij == 0.0 {
                     continue;
                 }
-                crate::vecops::axpy(-lij, &done[j * m..(j + 1) * m], xrow);
+                let xj = j * stride + c0;
+                crate::vecops::axpy(-lij, &done[xj..xj + w], xrow);
             }
             let diag = lrow[i];
             for v in xrow.iter_mut() {
@@ -106,51 +128,58 @@ pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
         }
         bs = be;
     }
-    x
 }
 
-/// Solves `L^T X = B` where `B` is `n x m` (backward substitution against
-/// the transpose, with a matrix right-hand side). Returns an `n x m`
-/// matrix. Blocked like [`solve_lower_mat`], sweeping panels bottom-up.
+/// Solves `L^T X = B` in place on the columns `cols` of a row-major
+/// right-hand side `x` with `l.rows()` rows and row stride `stride`
+/// (backward substitution against the transpose). The mirror image of
+/// [`solve_lower_strided`], sweeping panels bottom-up. Each element
+/// subtracts the rows below its panel in ascending order, then the rows
+/// inside its panel, skipping zero coefficients, then divides once by
+/// the diagonal: the same sequence whatever the stride or column range
+/// (but not that of [`solve_upper`], which runs all rows in one
+/// ascending sweep).
 ///
 /// # Panics
-/// Panics if `l` is not square or `b.rows() != l.rows()`.
-pub fn solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
-    assert!(l.is_square(), "solve_upper_mat: matrix must be square");
-    assert_eq!(b.rows(), l.rows(), "solve_upper_mat: rhs rows mismatch");
+/// Panics if `l` is not square, `cols` does not fit in `stride`, or
+/// `x.len() != l.rows() * stride`.
+fn solve_upper_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<usize>) {
+    let w = tile_width(l, x, stride, &cols, "solve_upper_strided");
     let n = l.rows();
-    let m = b.cols();
-    let mut x = b.clone();
+    let c0 = cols.start;
     let mut be = n;
     while be > 0 {
         let bs = be.saturating_sub(SOLVE_BLOCK);
         // Panel update: X[bs..be] -= L[be.., bs..be]^T * X[be..], reading
         // column i of L below the diagonal as row i of L^T.
         {
-            let (head, done) = x.split_rows_mut(be);
-            let active = &mut head[bs * m..];
+            let (head, done) = x.split_at_mut(be * stride);
+            let active = &mut head[bs * stride..];
             for j in be..n {
                 let lrow = l.row(j);
-                let xj = &done[(j - be) * m..(j - be + 1) * m];
-                for i in bs..be {
-                    let lji = lrow[i];
+                let xj = (j - be) * stride + c0;
+                let xj = &done[xj..xj + w];
+                for (i, &lji) in lrow[..be].iter().enumerate().skip(bs) {
                     if lji == 0.0 {
                         continue;
                     }
-                    crate::vecops::axpy(-lji, xj, &mut active[(i - bs) * m..(i - bs + 1) * m]);
+                    let xi = (i - bs) * stride + c0;
+                    crate::vecops::axpy(-lji, xj, &mut active[xi..xi + w]);
                 }
             }
         }
         // Diagonal block: backward substitution within the panel.
         for i in (bs..be).rev() {
-            let (head, rest) = x.split_rows_mut(i + 1);
-            let xrow = &mut head[i * m..];
+            let (head, rest) = x.split_at_mut((i + 1) * stride);
+            let xi = i * stride + c0;
+            let xrow = &mut head[xi..xi + w];
             for j in (i + 1)..be {
                 let lji = l[(j, i)];
                 if lji == 0.0 {
                     continue;
                 }
-                crate::vecops::axpy(-lji, &rest[(j - i - 1) * m..(j - i) * m], xrow);
+                let xj = (j - i - 1) * stride + c0;
+                crate::vecops::axpy(-lji, &rest[xj..xj + w], xrow);
             }
             let diag = l[(i, i)];
             for v in xrow.iter_mut() {
@@ -159,7 +188,45 @@ pub fn solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
         }
         be = bs;
     }
-    x
+}
+
+/// Runs a strided kernel over `b` one [`SOLVE_TILE`]-column tile at a
+/// time and returns the solved copy.
+fn solve_tiled(l: &Mat, b: &Mat, kernel: fn(&Mat, &mut [f64], usize, Range<usize>)) -> Mat {
+    let (n, m) = (b.rows(), b.cols());
+    let mut x = b.as_slice().to_vec();
+    for c0 in (0..m).step_by(SOLVE_TILE) {
+        kernel(l, &mut x, m, c0..(c0 + SOLVE_TILE).min(m));
+    }
+    Mat::from_vec(n, m, x)
+}
+
+/// Solves `L X = B` where `B` is `n x m` (forward substitution with a
+/// matrix right-hand side). Returns an `n x m` matrix.
+///
+/// The columns are solved one [`SOLVE_TILE`]-wide tile at a time by
+/// [`solve_lower_strided`]; results are bit-for-bit the same as
+/// column-wise [`solve_lower`] calls.
+///
+/// # Panics
+/// Panics if `l` is not square or `b.rows() != l.rows()`.
+pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
+    assert!(l.is_square(), "solve_lower_mat: matrix must be square");
+    assert_eq!(b.rows(), l.rows(), "solve_lower_mat: rhs rows mismatch");
+    solve_tiled(l, b, solve_lower_strided)
+}
+
+/// Solves `L^T X = B` where `B` is `n x m` (backward substitution against
+/// the transpose, with a matrix right-hand side). Returns an `n x m`
+/// matrix, tiled like [`solve_lower_mat`] over the backward panel kernel;
+/// bit-for-bit the same as the untiled panel solve.
+///
+/// # Panics
+/// Panics if `l` is not square or `b.rows() != l.rows()`.
+pub fn solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
+    assert!(l.is_square(), "solve_upper_mat: matrix must be square");
+    assert_eq!(b.rows(), l.rows(), "solve_upper_mat: rhs rows mismatch");
+    solve_tiled(l, b, solve_upper_strided)
 }
 
 #[cfg(test)]
@@ -235,15 +302,7 @@ mod tests {
     #[test]
     fn blocked_solves_match_vector_solves_across_panels() {
         let n = 83; // > 2 * SOLVE_BLOCK, not a multiple of the block size
-        let l = Mat::from_fn(n, n, |i, j| {
-            if j > i {
-                0.0
-            } else if i == j {
-                2.0 + (i as f64) * 0.01
-            } else {
-                ((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5
-            }
-        });
+        let l = dense_lower(n);
         let m = 5;
         let b = Mat::from_fn(n, m, |i, j| ((i + 2 * j) % 13) as f64 * 0.25 - 1.0);
         let lo = solve_lower_mat(&l, &b);
@@ -255,6 +314,133 @@ mod tests {
             for r in 0..n {
                 assert_eq!(lo[(r, col)], wlo[r], "forward bit mismatch at ({r},{col})");
                 assert!((up[(r, col)] - wup[r]).abs() < 1e-10, "backward mismatch at ({r},{col})");
+            }
+        }
+    }
+
+    /// A dense lower-triangular factor over `n` rows (several
+    /// `SOLVE_BLOCK` panels when `n` is large enough) with one exact-zero
+    /// coefficient per few rows, so the `lij == 0` skip is exercised.
+    fn dense_lower(n: usize) -> Mat {
+        Mat::from_fn(n, n, |i, j| {
+            if j > i {
+                0.0
+            } else if i == j {
+                2.0 + (i as f64) * 0.01
+            } else {
+                ((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5
+            }
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The untiled blocked backward solve as it was before column tiling:
+    /// one pass over all `m` columns per row panel. The reference the
+    /// tiled [`solve_upper_mat`] must reproduce bit for bit (it does not
+    /// equal column-wise [`solve_upper`] bit for bit, because the panel
+    /// order visits rows below the panel before rows inside it).
+    fn untiled_solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
+        let n = l.rows();
+        let m = b.cols();
+        let mut x = b.clone();
+        let mut be = n;
+        while be > 0 {
+            let bs = be.saturating_sub(SOLVE_BLOCK);
+            {
+                let (head, done) = x.split_rows_mut(be);
+                let active = &mut head[bs * m..];
+                for j in be..n {
+                    let lrow = l.row(j);
+                    let xj = &done[(j - be) * m..(j - be + 1) * m];
+                    for i in bs..be {
+                        let lji = lrow[i];
+                        if lji == 0.0 {
+                            continue;
+                        }
+                        crate::vecops::axpy(-lji, xj, &mut active[(i - bs) * m..(i - bs + 1) * m]);
+                    }
+                }
+            }
+            for i in (bs..be).rev() {
+                let (head, rest) = x.split_rows_mut(i + 1);
+                let xrow = &mut head[i * m..];
+                for j in (i + 1)..be {
+                    let lji = l[(j, i)];
+                    if lji == 0.0 {
+                        continue;
+                    }
+                    crate::vecops::axpy(-lji, &rest[(j - i - 1) * m..(j - i) * m], xrow);
+                }
+                let diag = l[(i, i)];
+                for v in xrow.iter_mut() {
+                    *v /= diag;
+                }
+            }
+            be = bs;
+        }
+        x
+    }
+
+    /// Column counts around the tile width, plus the learner's full
+    /// candidate count.
+    const TILE_EDGE_COLS: [usize; 5] = [1, SOLVE_TILE - 1, SOLVE_TILE, SOLVE_TILE + 1, 2100];
+
+    #[test]
+    fn tiled_forward_solve_is_bit_identical_to_vector_solves() {
+        let n = 3 * SOLVE_BLOCK + 5;
+        let l = dense_lower(n);
+        for m in TILE_EDGE_COLS {
+            let b = Mat::from_fn(n, m, |i, j| ((i * 5 + 3 * j) % 17) as f64 * 0.125 - 1.0);
+            let x = solve_lower_mat(&l, &b);
+            for col in 0..m {
+                let bcol: Vec<f64> = (0..n).map(|r| b[(r, col)]).collect();
+                let xcol: Vec<f64> = (0..n).map(|r| x[(r, col)]).collect();
+                assert_eq!(bits(&xcol), bits(&solve_lower(&l, &bcol)), "m = {m}, column {col}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_backward_solve_is_bit_identical_to_the_untiled_solve() {
+        let n = 3 * SOLVE_BLOCK + 5;
+        let l = dense_lower(n);
+        for m in TILE_EDGE_COLS {
+            let b = Mat::from_fn(n, m, |i, j| ((i * 5 + 3 * j) % 17) as f64 * 0.125 - 1.0);
+            let tiled = solve_upper_mat(&l, &b);
+            let untiled = untiled_solve_upper_mat(&l, &b);
+            assert_eq!(bits(tiled.as_slice()), bits(untiled.as_slice()), "m = {m}");
+        }
+    }
+
+    /// The strided kernels solve exactly the requested columns of a wider
+    /// buffer, bit-identically to solving those columns alone, and leave
+    /// every other column untouched.
+    #[test]
+    fn strided_kernels_touch_only_their_column_range() {
+        let n = 2 * SOLVE_BLOCK + 3;
+        let l = dense_lower(n);
+        let stride = 11;
+        let cols = 3..8;
+        let b = Mat::from_fn(n, stride, |i, j| ((i * 3 + 7 * j) % 13) as f64 * 0.25 - 1.5);
+        let alone = Mat::from_fn(n, cols.len(), |i, j| b[(i, cols.start + j)]);
+        type Kernel = fn(&Mat, &mut [f64], usize, Range<usize>);
+        type Whole = fn(&Mat, &Mat) -> Mat;
+        let pairs: [(Kernel, Whole); 2] =
+            [(solve_lower_strided, solve_lower_mat), (solve_upper_strided, solve_upper_mat)];
+        for (kernel, whole) in pairs {
+            let mut x = b.as_slice().to_vec();
+            kernel(&l, &mut x, stride, cols.clone());
+            let want = whole(&l, &alone);
+            for i in 0..n {
+                for j in 0..stride {
+                    let got = x[i * stride + j];
+                    let expect =
+                        if cols.contains(&j) { want[(i, j - cols.start)] } else { b[(i, j)] };
+                    assert_eq!(got.to_bits(), expect.to_bits(), "({i},{j})");
+                }
             }
         }
     }
