@@ -148,35 +148,24 @@ impl Scale {
     }
 }
 
-/// Window length × candidate count from which [`predict_all`] solves the
-/// three posteriors concurrently. At the threshold one posterior is a
-/// few milliseconds of work, so the two scoped spawns (tens of
-/// microseconds) cost under 1% of the serial path; quick-config learners
+/// Window length × candidate count from which [`EdgeBol`] solves the
+/// delay and mAP posteriors concurrently. At the threshold one posterior
+/// is a few milliseconds of work, so the scoped spawn (tens of
+/// microseconds) costs under 1% of the serial path; quick-config learners
 /// (`T <= 80`, a few hundred candidates) stay below it and never spawn.
 const CONCURRENT_POSTERIOR_WORK: usize = 100_000;
 
-/// `predict_batch` of each GP over the flat candidate inputs `flat`
-/// (`m` points). The three GPs share nothing but the read-only
-/// candidates, so from [`CONCURRENT_POSTERIOR_WORK`] up two of them run
-/// on scoped threads beside the calling one. Each GP's result depends
-/// only on its own state, so the output is the same either way.
-fn predict_all(
-    gps: &mut [GaussianProcess; 3],
-    flat: &[f64],
-    m: usize,
-) -> [(Vec<f64>, Vec<f64>); 3] {
-    if gps[0].len() * m < CONCURRENT_POSTERIOR_WORK {
-        return gps.each_mut().map(|gp| gp.predict_batch(flat));
+/// `predict_batch` of one GP over the flat inputs `flat`, mapped back to
+/// raw (unstandardized) units. Returns `(means, stds)`.
+fn raw_posterior(gp: &mut GaussianProcess, scale: Scale, flat: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let (mut means, mut stds) = gp.predict_batch(flat);
+    for v in &mut means {
+        *v = scale.mean_from_scaled(*v);
     }
-    let [cost, delay, map] = gps.each_mut();
-    std::thread::scope(|s| {
-        let delay = s.spawn(|| delay.predict_batch(flat));
-        let map = s.spawn(|| map.predict_batch(flat));
-        let join = |h: std::thread::ScopedJoinHandle<'_, _>| {
-            h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        };
-        [cost.predict_batch(flat), join(delay), join(map)]
-    })
+    for v in &mut stds {
+        *v = scale.std_from_scaled(*v);
+    }
+    (means, stds)
 }
 
 /// The EdgeBOL agent.
@@ -206,8 +195,9 @@ pub struct EdgeBol {
     raw_ys: Vec<[f64; 3]>,
     /// Recently selected controls kept in every candidate set.
     elites: Vec<usize>,
-    /// Reused flat candidate-matrix buffer for the batched posterior
-    /// (avoids one `|cand| * dims` allocation per function per period).
+    /// Reused flat candidate-matrix buffer for the batched posteriors
+    /// (avoids one `|cand| * dims` allocation per period). `select`
+    /// compacts it in place down to the rows the cost posterior reads.
     z_scratch: Vec<f64>,
     rng: SmallRng,
     /// Updates received so far.
@@ -354,28 +344,38 @@ impl EdgeBol {
         cand
     }
 
-    /// Posterior over the candidates for all three functions, in raw
-    /// (unstandardized) units. Returns `(means, stds)` per function.
-    fn posterior(&mut self, context: &[f64], cand: &[usize]) -> [(Vec<f64>, Vec<f64>); 3] {
+    /// Writes the candidates' `z = (context, control)` rows into
+    /// `z_scratch`, flat row-major.
+    fn write_candidates(&mut self, context: &[f64], cand: &[usize]) {
         let dims = self.cfg.context_dims + self.grid.dims();
         self.z_scratch.clear();
         self.z_scratch.reserve(cand.len() * dims);
         for &idx in cand {
             self.grid.write_z(context, idx, &mut self.z_scratch);
         }
-        let flat = &self.z_scratch;
+    }
+
+    /// Delay and mAP posteriors (the inputs of eq. 8) over the `m`
+    /// candidate rows in `z_scratch`, in raw units.
+    ///
+    /// The two GPs share nothing but the read-only candidates, so from
+    /// [`CONCURRENT_POSTERIOR_WORK`] up the delay posterior runs on a
+    /// scoped thread while the calling thread solves the mAP one. Each
+    /// result depends only on its own GP, so the output is the same
+    /// either way.
+    fn constraint_posteriors(&mut self, m: usize) -> [(Vec<f64>, Vec<f64>); 2] {
         let scales = self.scales.expect("posterior requires built GPs");
-        let gps = self.gps.as_mut().expect("posterior requires built GPs");
-        let mut out = predict_all(gps, flat, cand.len());
-        for ((means, stds), scale) in out.iter_mut().zip(scales) {
-            for v in means.iter_mut() {
-                *v = scale.mean_from_scaled(*v);
-            }
-            for v in stds.iter_mut() {
-                *v = scale.std_from_scaled(*v);
-            }
+        let [_, delay, map] = self.gps.as_mut().expect("posterior requires built GPs").each_mut();
+        let flat = &self.z_scratch;
+        if delay.len() * m < CONCURRENT_POSTERIOR_WORK {
+            return [raw_posterior(delay, scales[1], flat), raw_posterior(map, scales[2], flat)];
         }
-        out
+        std::thread::scope(|s| {
+            let delay = s.spawn(|| raw_posterior(delay, scales[1], flat));
+            let map = raw_posterior(map, scales[2], flat);
+            let delay = delay.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            [delay, map]
+        })
     }
 
     /// The safe mask over candidates (eq. 8), before the `S_0` union.
@@ -408,7 +408,8 @@ impl EdgeBol {
             return self.s0.len();
         }
         let cand: Vec<usize> = (0..self.grid.len()).collect();
-        let [_, delay, map] = self.posterior(context, &cand);
+        self.write_candidates(context, &cand);
+        let [delay, map] = self.constraint_posteriors(cand.len());
         let mask = self.safe_mask(&delay, &map);
         let mut safe: Vec<usize> =
             cand.iter().zip(&mask).filter(|(_, &m)| m).map(|(&i, _)| i).collect();
@@ -421,8 +422,12 @@ impl EdgeBol {
     /// Debug introspection: posterior `(cost mu, cost sd, delay mu,
     /// delay sd)` in raw units at one control.
     pub fn debug_posterior(&mut self, context: &[f64], idx: usize) -> (f64, f64, f64, f64) {
-        let [cost, delay, _] = self.posterior(context, &[idx]);
-        (cost.0[0], cost.1[0], delay.0[0], delay.1[0])
+        self.write_candidates(context, &[idx]);
+        let scales = self.scales.expect("posterior requires built GPs");
+        let [cost, delay, _] = self.gps.as_mut().expect("posterior requires built GPs").each_mut();
+        let (cm, cs) = raw_posterior(cost, scales[0], &self.z_scratch);
+        let (dm, ds) = raw_posterior(delay, scales[1], &self.z_scratch);
+        (cm[0], cs[0], dm[0], ds[0])
     }
 
     /// Monte-Carlo estimate of the safe-set size: evaluates the safe mask
@@ -436,7 +441,8 @@ impl EdgeBol {
         }
         let n = samples.min(self.grid.len()).max(1);
         let cand: Vec<usize> = (0..n).map(|_| self.rng.random_range(0..self.grid.len())).collect();
-        let [_, delay, map] = self.posterior(context, &cand);
+        self.write_candidates(context, &cand);
+        let [delay, map] = self.constraint_posteriors(cand.len());
         let mask = self.safe_mask(&delay, &map);
         let hits = mask.iter().filter(|&&m| m).count();
         let est = (hits as f64 / n as f64 * self.grid.len() as f64).round() as usize;
@@ -774,38 +780,62 @@ impl GridAgent for EdgeBol {
             return self.warmup_box[pick];
         }
         let cand = self.candidates();
-        let [cost, delay, map] = self.posterior(context, &cand);
+        self.write_candidates(context, &cand);
+        let [delay, map] = self.constraint_posteriors(cand.len());
         let mask = self.safe_mask(&delay, &map);
 
-        let b = self.cfg.beta_sqrt;
-        // Thompson draws are materialized up front (the scoring closure
-        // cannot borrow the RNG mutably while the posteriors are borrowed).
-        let thompson: Vec<f64> = if self.cfg.acquisition == Acquisition::ThompsonSampling {
-            (0..cand.len())
-                .map(|j| cost.0[j] + cost.1[j] * edgebol_linalg::stats::normal01(&mut self.rng))
-                .collect()
-        } else {
-            Vec::new()
+        let acquisition = self.cfg.acquisition;
+        let use_mask = acquisition != Acquisition::UnconstrainedLcb;
+        let s0 = &self.s0;
+        let eligible = |j: usize| !use_mask || mask[j] || s0.binary_search(&cand[j]).is_ok();
+        // The cost posterior only where the acquisition reads it: at the
+        // eligible rows, in candidate order (every row without the mask,
+        // none for MaxUncertainty). Each row's posterior depends only on
+        // its own input, so the gathered rows carry the same bits as the
+        // full solve; the gather compacts `z_scratch` in place.
+        let cost = match acquisition {
+            Acquisition::MaxUncertainty => (Vec::new(), Vec::new()),
+            Acquisition::ConstrainedLcb
+            | Acquisition::UnconstrainedLcb
+            | Acquisition::ThompsonSampling => {
+                let dims = self.cfg.context_dims + self.grid.dims();
+                let mut kept = 0;
+                for j in (0..cand.len()).filter(|&j| eligible(j)) {
+                    self.z_scratch.copy_within(j * dims..(j + 1) * dims, kept * dims);
+                    kept += 1;
+                }
+                self.z_scratch.truncate(kept * dims);
+                let scale = self.scales.expect("posterior requires built GPs")[0];
+                let gps = self.gps.as_mut().expect("posterior requires built GPs");
+                raw_posterior(&mut gps[0], scale, &self.z_scratch)
+            }
         };
-        let score = |j: usize| -> f64 {
-            match self.cfg.acquisition {
+
+        let b = self.cfg.beta_sqrt;
+        // `row` walks the cost posterior alongside the eligible candidates.
+        let mut row = 0;
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &idx) in cand.iter().enumerate() {
+            // Thompson sampling draws for every candidate, eligible or
+            // not, in candidate order: the RNG stream is that of a draw
+            // over the full posterior.
+            let draw = if acquisition == Acquisition::ThompsonSampling {
+                edgebol_linalg::stats::normal01(&mut self.rng)
+            } else {
+                0.0
+            };
+            if !eligible(j) {
+                continue;
+            }
+            let s = match acquisition {
                 Acquisition::ConstrainedLcb | Acquisition::UnconstrainedLcb => {
-                    cost.0[j] - b * cost.1[j]
+                    cost.0[row] - b * cost.1[row]
                 }
                 // Negated: we minimize the score below.
                 Acquisition::MaxUncertainty => -(delay.1[j].max(map.1[j])),
-                Acquisition::ThompsonSampling => thompson[j],
-            }
-        };
-
-        let use_mask = self.cfg.acquisition != Acquisition::UnconstrainedLcb;
-        let in_s0 = |idx: usize| self.s0.binary_search(&idx).is_ok();
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &idx) in cand.iter().enumerate() {
-            if use_mask && !mask[j] && !in_s0(idx) {
-                continue;
-            }
-            let s = score(j);
+                Acquisition::ThompsonSampling => cost.0[row] + cost.1[row] * draw,
+            };
+            row += 1;
             if best.is_none_or(|(_, bs)| s < bs) {
                 best = Some((idx, s));
             }
@@ -912,8 +942,8 @@ mod tests {
         (agent, history)
     }
 
-    /// Above the concurrency threshold the three posteriors run on
-    /// scoped threads; the result must equal serial `predict_batch` calls
+    /// Above the concurrency threshold the delay and mAP posteriors run
+    /// on two threads; the result must equal serial `predict_batch` calls
     /// on clones of the same GPs, bit for bit.
     #[test]
     fn concurrent_posterior_equals_serial_predict_batch() {
@@ -928,14 +958,155 @@ mod tests {
             serial[0].len(),
             cand.len()
         );
-        let concurrent = agent.posterior(&ctx, &cand);
+        agent.write_candidates(&ctx, &cand);
+        let concurrent = agent.constraint_posteriors(cand.len());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (k, gp) in serial.iter_mut().enumerate() {
-            let (m, s) = gp.predict_batch(&agent.z_scratch);
+        for (k, got) in [(1, &concurrent[0]), (2, &concurrent[1])] {
+            let (m, s) = serial[k].predict_batch(&agent.z_scratch);
             let m: Vec<f64> = m.into_iter().map(|v| scales[k].mean_from_scaled(v)).collect();
             let s: Vec<f64> = s.into_iter().map(|v| scales[k].std_from_scaled(v)).collect();
-            assert_eq!(bits(&concurrent[k].0), bits(&m), "means of GP {k}");
-            assert_eq!(bits(&concurrent[k].1), bits(&s), "stds of GP {k}");
+            assert_eq!(bits(&got.0), bits(&m), "means of GP {k}");
+            assert_eq!(bits(&got.1), bits(&s), "stds of GP {k}");
+        }
+    }
+
+    /// All three posteriors over every candidate in `cand`, in raw units,
+    /// by serial `predict_batch` calls: the full solve that `select` and
+    /// `safe_set_size` avoid.
+    fn full_posteriors(
+        agent: &mut EdgeBol,
+        context: &[f64],
+        cand: &[usize],
+    ) -> [(Vec<f64>, Vec<f64>); 3] {
+        let mut flat = Vec::new();
+        for &idx in cand {
+            agent.grid.write_z(context, idx, &mut flat);
+        }
+        let scales = agent.scales.expect("scales frozen after warm-up");
+        let gps = agent.gps.as_mut().expect("GPs built after warm-up");
+        std::array::from_fn(|k| {
+            let (m, s) = gps[k].predict_batch(&flat);
+            (
+                m.into_iter().map(|v| scales[k].mean_from_scaled(v)).collect(),
+                s.into_iter().map(|v| scales[k].std_from_scaled(v)).collect(),
+            )
+        })
+    }
+
+    /// Algorithm 1 over the full posteriors: all three GPs solved at
+    /// every candidate, Thompson draws materialized for every candidate
+    /// up front, then the acquisition's rule over the safe set.
+    fn reference_select(agent: &mut EdgeBol, context: &[f64]) -> usize {
+        if agent.in_warmup() {
+            let pick = agent.rng.random_range(0..agent.warmup_box.len());
+            return agent.warmup_box[pick];
+        }
+        let cand = agent.candidates();
+        let [cost, delay, map] = full_posteriors(agent, context, &cand);
+        let mask = agent.safe_mask(&delay, &map);
+        let acquisition = agent.cfg.acquisition;
+        let thompson: Vec<f64> = if acquisition == Acquisition::ThompsonSampling {
+            (0..cand.len())
+                .map(|j| cost.0[j] + cost.1[j] * edgebol_linalg::stats::normal01(&mut agent.rng))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let b = agent.cfg.beta_sqrt;
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &idx) in cand.iter().enumerate() {
+            let safe = mask[j] || agent.s0.contains(&idx);
+            if acquisition != Acquisition::UnconstrainedLcb && !safe {
+                continue;
+            }
+            let s = match acquisition {
+                Acquisition::ConstrainedLcb | Acquisition::UnconstrainedLcb => {
+                    cost.0[j] - b * cost.1[j]
+                }
+                Acquisition::MaxUncertainty => -(delay.1[j].max(map.1[j])),
+                Acquisition::ThompsonSampling => thompson[j],
+            };
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((idx, s));
+            }
+        }
+        let chosen = best.expect("candidate set never empty").0;
+        agent.elites.push(chosen);
+        if agent.elites.len() > 64 {
+            let drop = agent.elites.len() - 64;
+            agent.elites.drain(..drop);
+        }
+        chosen
+    }
+
+    /// `select` solves the cost posterior only at the rows its
+    /// acquisition reads, yet every decision and every byte of learner
+    /// state (RNG stream included) matches the full-posterior reference,
+    /// for all four acquisitions, with window x candidates both below and
+    /// above the concurrency threshold. A stretch of unsatisfiable delay
+    /// bounds empties the eq. (8) mask, leaving `S_0` as the only
+    /// eligible control.
+    #[test]
+    fn restricted_selection_matches_the_full_posterior_reference() {
+        let toy = Toy { d_max: 0.5 };
+        for acquisition in [
+            Acquisition::ConstrainedLcb,
+            Acquisition::MaxUncertainty,
+            Acquisition::UnconstrainedLcb,
+            Acquisition::ThompsonSampling,
+        ] {
+            let mut c = cfg();
+            c.acquisition = acquisition;
+            c.candidate_subsample = None; // all 1296 controls: crosses the threshold at T = 78
+            let mut live = EdgeBol::with_grid(c.clone(), ControlGrid::new(6, 4));
+            let mut reference = EdgeBol::with_grid(c, ControlGrid::new(6, 4));
+            let (mut below, mut above) = (false, false);
+            for step in 0..100 {
+                let d_max = if (50..56).contains(&step) { 0.0 } else { 0.5 };
+                for agent in [&mut live, &mut reference] {
+                    agent.set_constraints(Constraints { d_max, rho_min: 0.0 });
+                }
+                if let Some(gps) = &live.gps {
+                    let work = gps[0].len() * live.grid().len();
+                    below |= work < CONCURRENT_POSTERIOR_WORK;
+                    above |= work >= CONCURRENT_POSTERIOR_WORK;
+                }
+                let ctx = [0.5, 0.2 + 0.006 * step as f64, 0.1];
+                let got = live.select(&ctx);
+                let want = reference_select(&mut reference, &ctx);
+                assert_eq!(got, want, "{acquisition:?}: choice diverged at step {step}");
+                let fb = toy.eval(live.grid(), got);
+                live.update(&ctx, got, &fb);
+                reference.update(&ctx, want, &fb);
+                assert!(
+                    live.save_state() == reference.save_state(),
+                    "{acquisition:?}: learner state diverged at step {step}"
+                );
+            }
+            assert!(below && above, "{acquisition:?}: both sides of the threshold must run");
+        }
+    }
+
+    /// `safe_set_size` (constraint GPs only) counts exactly the controls
+    /// of the full three-posterior mask unioned with `S_0`, on both sides
+    /// of the concurrency threshold and under an unsatisfiable bound.
+    #[test]
+    fn safe_set_size_equals_the_full_posterior_count() {
+        for steps in [20, 80] {
+            let (mut agent, _) = run_toy(cfg(), steps);
+            for d_max in [0.5, 0.3, 0.0] {
+                agent.set_constraints(Constraints { d_max, rho_min: 0.0 });
+                let ctx = [0.4, 0.6, 0.1];
+                let cand: Vec<usize> = (0..agent.grid().len()).collect();
+                let [_, delay, map] = full_posteriors(&mut agent, &ctx, &cand);
+                let mask = agent.safe_mask(&delay, &map);
+                let want = cand
+                    .iter()
+                    .zip(&mask)
+                    .filter(|&(idx, &safe)| safe || agent.s0.contains(idx))
+                    .count();
+                assert_eq!(agent.safe_set_size(&ctx), want, "T = {steps}, d_max = {d_max}");
+            }
         }
     }
 

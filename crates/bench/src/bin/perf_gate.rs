@@ -1,5 +1,5 @@
-//! CI perf gate for the GP hot paths: sliding-window eviction and the
-//! batched candidate posterior.
+//! CI perf gate for the GP hot paths — sliding-window eviction and the
+//! batched candidate posterior — and for the optimize stage they feed.
 //!
 //! Measures the at-capacity `observe` cost (evict + bordered append) at
 //! the paper-scale window `T = 200` under both eviction strategies and
@@ -28,17 +28,33 @@
 //!   §Tiled posterior). Like the `M = 1000` arm it is a tripwire for
 //!   gross regressions, not a tight bound.
 //!
+//! The optimize stage itself, which dominates the control period, is
+//! gated end to end:
+//!
+//! * `edgebol_select_T800`: one `EdgeBol::select` of the paper learner
+//!   (`EdgeBolConfig::paper` over `ControlGrid::paper`, ~2,100 candidates)
+//!   with its 800-observation window full — the delay and mAP posteriors
+//!   over every candidate plus the cost posterior over the safe set —
+//!   must stay under the fixed `SELECT_T800_BOUND_US` (600 000 µs, ~2×
+//!   the ~0.3 s median measured on the 2-core baseline box,
+//!   EXPERIMENTS.md §Restricted cost posterior).
+//!
 //! Medians over `EDGEBOL_GATE_SAMPLES` (default 30; at most 10 for the
-//! `M = 1000` posterior and 5 for the `T = 800` one) individually-timed
-//! steady-state iterations after 3 warm-ups each; deterministic workload,
-//! no RNG.
+//! `M = 1000` posterior and 5 for the `T = 800` posterior and select)
+//! individually-timed steady-state iterations after 3 warm-ups each;
+//! deterministic workload (the learner's RNG is seeded by its config).
 
+use edgebol_bandit::{Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback, GridAgent};
 use edgebol_bench::env::usize_knob;
 use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
 use std::time::Instant;
 
 /// Bound on the `T = 800`, `M = 2100` posterior median, in microseconds.
 const POSTERIOR_T800_BOUND_US: f64 = 600_000.0;
+
+/// Bound on the paper learner's full-window `select` median, in
+/// microseconds.
+const SELECT_T800_BOUND_US: f64 = 600_000.0;
 
 /// Deterministically filled GP at exactly its window capacity.
 fn gp_at_cap(cap: usize, strategy: EvictStrategy) -> GaussianProcess {
@@ -56,6 +72,42 @@ fn gp_at_cap(cap: usize, strategy: EvictStrategy) -> GaussianProcess {
         gp.observe(&z, y).unwrap();
     }
     gp
+}
+
+/// The paper learner (`EdgeBolConfig::paper`, `ControlGrid::paper`) with
+/// its 800-observation window full. Warm-up runs through `select`; the
+/// rest of the window is filled with pseudo-random controls fed straight
+/// to `update`. The synthetic feedback is deterministic: cost rises and
+/// delay falls with the mean control level, and the delay bound leaves an
+/// eq. (8) safe set of a few dozen candidates, the scale of the paper
+/// runs.
+fn paper_learner_at_cap() -> EdgeBol {
+    let cfg = EdgeBolConfig::paper(Constraints { d_max: 0.3, rho_min: 0.5 });
+    let cap = cfg.max_observations.expect("the paper config caps its window");
+    let mut agent = EdgeBol::with_grid(cfg, ControlGrid::paper());
+    let mut state = 7u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for t in 0..cap {
+        let ctx = [next(), next(), 0.1];
+        let idx = if agent.in_warmup() {
+            agent.select(&ctx)
+        } else {
+            (next() * agent.grid().len() as f64) as usize
+        };
+        let coords = agent.grid().coords(idx);
+        let level = coords.iter().sum::<f64>() / coords.len() as f64;
+        let wiggle = 0.01 * ((t % 7) as f64 - 3.0);
+        let fb = Feedback {
+            cost: 100.0 + 200.0 * level + 20.0 * ctx[0] + wiggle,
+            delay_s: 0.9 - 0.8 * level + 0.05 * ctx[1] + 0.1 * wiggle,
+            map: 0.4 + 0.4 * level + 0.1 * wiggle,
+        };
+        agent.update(&ctx, idx, &fb);
+    }
+    agent
 }
 
 /// Median of `samples` individually-timed runs of `f` against one
@@ -104,6 +156,11 @@ fn main() {
         gp.predict_batch(&candidates);
     });
 
+    let mut learner = paper_learner_at_cap();
+    let select = median_us(samples.min(5), &mut learner, |agent| {
+        std::hint::black_box(agent.select(&[0.5, 0.5, 0.1]));
+    });
+
     let ratio = rebuild / downdate;
     println!("perf gate (median over {samples} samples, window T=200 unless named):");
     println!("  gp_evict_downdate_T200          {downdate:10.1} us  (bound {evict_bound_us} us)");
@@ -112,6 +169,9 @@ fn main() {
     println!("  gp_predict_batch_T200_M1000     {batch:10.1} us  (bound {batch_bound_us} us)");
     println!(
         "  gp_predict_batch_T800_M2100     {posterior:10.1} us  (bound {POSTERIOR_T800_BOUND_US} us)"
+    );
+    println!(
+        "  edgebol_select_T800             {select:10.1} us  (bound {SELECT_T800_BOUND_US} us)"
     );
 
     let mut failed = false;
@@ -131,6 +191,10 @@ fn main() {
         eprintln!(
             "FAIL: T=800 posterior {posterior:.1} us exceeds the {POSTERIOR_T800_BOUND_US} us bound"
         );
+        failed = true;
+    }
+    if select > SELECT_T800_BOUND_US {
+        eprintln!("FAIL: T=800 select {select:.1} us exceeds the {SELECT_T800_BOUND_US} us bound");
         failed = true;
     }
     if failed {

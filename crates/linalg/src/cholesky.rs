@@ -103,7 +103,8 @@ impl Cholesky {
     /// If the current factor corresponds to `A` (`n x n`), this updates it
     /// to the factor of the `(n+1) x (n+1)` matrix
     /// `[[A, k], [k^T, kappa]]` in `O(n^2)` time, where `k` is the cross
-    /// column and `kappa` the new diagonal element.
+    /// column and `kappa` the new diagonal element. The factor grows in
+    /// place; no second `(n+1)^2` matrix is allocated.
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] when `k.len() != n` and
@@ -126,14 +127,9 @@ impl Cholesky {
                 return Err(LinalgError::NotPositiveDefinite { pivot: n, jitter: MAX_JITTER });
             }
         }
-        let mut grown = Mat::zeros(n + 1, n + 1);
-        for i in 0..n {
-            let src = self.l.row(i);
-            grown.row_mut(i)[..n].copy_from_slice(src);
-        }
-        grown.row_mut(n)[..n].copy_from_slice(&lrow);
-        grown[(n, n)] = schur.sqrt();
-        self.l = grown;
+        self.l.grow_square();
+        self.l.row_mut(n)[..n].copy_from_slice(&lrow);
+        self.l[(n, n)] = schur.sqrt();
         Ok(())
     }
 
@@ -337,6 +333,65 @@ mod tests {
                     "L mismatch at ({i},{j})"
                 );
             }
+        }
+    }
+
+    /// The bordered append as it was before in-place growth: a fresh
+    /// `(n+1)^2` factor with the old one copied into it.
+    fn append_by_copy(ch: &Cholesky, k: &[f64], kappa: f64) -> Cholesky {
+        let n = ch.dim();
+        let lrow = if n > 0 { solve_lower(&ch.l, k) } else { Vec::new() };
+        let mut schur = kappa - crate::vecops::dot(&lrow, &lrow);
+        if schur <= 0.0 || !schur.is_finite() {
+            schur = kappa + MAX_JITTER - crate::vecops::dot(&lrow, &lrow);
+        }
+        let mut grown = Mat::zeros(n + 1, n + 1);
+        for i in 0..n {
+            grown.row_mut(i)[..n].copy_from_slice(ch.l.row(i));
+        }
+        grown.row_mut(n)[..n].copy_from_slice(&lrow);
+        grown[(n, n)] = schur.sqrt();
+        Cholesky { l: grown }
+    }
+
+    fn assert_same_bits(a: &Cholesky, b: &Cholesky, what: &str) {
+        assert_eq!(a.dim(), b.dim(), "{what}: dimension");
+        let bits = |c: &Cholesky| c.l.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(a) == bits(b), "{what}: factor bits differ");
+    }
+
+    #[test]
+    fn in_place_append_is_bit_identical_to_allocate_and_copy() {
+        let a = random_spd(70, 31);
+        let (mut grown, mut copied) = (Cholesky::empty(), Cholesky::empty());
+        for i in 0..70 {
+            let cross: Vec<f64> = (0..i).map(|j| a[(i, j)]).collect();
+            grown.append(&cross, a[(i, i)]).unwrap();
+            copied = append_by_copy(&copied, &cross, a[(i, i)]);
+            assert_same_bits(&grown, &copied, &format!("after {} appends", i + 1));
+        }
+    }
+
+    #[test]
+    fn in_place_append_is_bit_identical_across_delete_row_cycles() {
+        // A sliding window of 12 over the rows of one SPD matrix, evicting
+        // at varying positions: both appends see the same downdated factor.
+        let a = random_spd(60, 13);
+        let mut window: Vec<usize> = Vec::new();
+        let (mut grown, mut copied) = (Cholesky::empty(), Cholesky::empty());
+        for t in 0..60 {
+            if window.len() == 12 {
+                let p = t % 5;
+                window.remove(p);
+                grown = grown.delete_row(p).unwrap();
+                copied = copied.delete_row(p).unwrap();
+                assert_same_bits(&grown, &copied, &format!("t = {t}, after delete_row({p})"));
+            }
+            let cross: Vec<f64> = window.iter().map(|&r| a[(t, r)]).collect();
+            grown.append(&cross, a[(t, t)]).unwrap();
+            copied = append_by_copy(&copied, &cross, a[(t, t)]);
+            window.push(t);
+            assert_same_bits(&grown, &copied, &format!("t = {t}, after append"));
         }
     }
 

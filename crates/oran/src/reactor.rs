@@ -1560,4 +1560,92 @@ mod tests {
             assert!(Instant::now() < deadline, "only {got}/50 frames arrived");
         }
     }
+
+    /// `parse_http_head` decodes bytes from any TCP client of the ops
+    /// surface. On arbitrary input it must never panic, and its verdict
+    /// must agree with the input: `Partial` exactly while no blank line
+    /// has arrived, and a parsed head consumes a prefix ending in one.
+    mod http_head_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Well-formed heads exercising every header the parser reads.
+        const HEADS: [&[u8]; 4] = [
+            b"GET /metrics HTTP/1.1\r\nHost: edge\r\n\r\n",
+            b"GET /trace?n=5 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+            b"POST /vars HTTP/1.1\r\nContent-Length: 12\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\nX-\xc3\xa9: v\r\n\r\n",
+        ];
+
+        /// Any byte, with the parser's delimiters over-represented so
+        /// random input reaches past the blank-line scan.
+        fn http_byte() -> impl Strategy<Value = u8> {
+            prop_oneof![any::<u8>(), Just(b'\r'), Just(b'\n'), Just(b' '), Just(b':'), Just(b'?')]
+        }
+
+        fn check(buf: &[u8]) -> Result<(), String> {
+            let complete = buf.windows(4).any(|w| w == b"\r\n\r\n");
+            match parse_http_head(buf) {
+                HttpParse::Partial => {
+                    prop_assert!(!complete, "Partial on a complete head: {buf:?}");
+                }
+                HttpParse::Bad(why) => {
+                    prop_assert!(complete, "Bad ({why}) before the head is complete: {buf:?}");
+                }
+                HttpParse::Request { method, head_len, .. } => {
+                    prop_assert!(
+                        head_len <= buf.len() && buf[..head_len].ends_with(b"\r\n\r\n"),
+                        "head_len {head_len} does not end a blank line: {buf:?}"
+                    );
+                    prop_assert!(!method.is_empty(), "empty method parsed from {buf:?}");
+                }
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn the_seed_heads_parse() {
+            for head in HEADS {
+                assert!(
+                    matches!(parse_http_head(head), HttpParse::Request { head_len, .. } if head_len == head.len()),
+                    "{head:?}"
+                );
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(http_byte(), 0..300)) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn arbitrary_terminated_bytes_never_panic(
+                bytes in proptest::collection::vec(http_byte(), 0..300),
+            ) {
+                let mut buf = bytes;
+                buf.extend_from_slice(b"\r\n\r\n");
+                prop_assert!(!matches!(parse_http_head(&buf), HttpParse::Partial));
+                check(&buf)?;
+            }
+
+            #[test]
+            fn mutated_heads_never_panic(
+                which in 0usize..4,
+                edits in proptest::collection::vec((0.0f64..1.0, any::<u8>()), 1..6),
+                tail in proptest::collection::vec(http_byte(), 0..16),
+            ) {
+                let mut buf = HEADS[which].to_vec();
+                for (at, byte) in edits {
+                    let i = ((buf.len() - 1) as f64 * at) as usize;
+                    buf[i] = byte;
+                }
+                buf.extend_from_slice(&tail);
+                // Every prefix too: the reactor parses whatever has arrived.
+                for cut in 0..=buf.len() {
+                    check(&buf[..cut])?;
+                }
+            }
+        }
+    }
 }
