@@ -148,13 +148,6 @@ impl Scale {
     }
 }
 
-/// Window length × candidate count from which [`EdgeBol`] solves the
-/// delay and mAP posteriors concurrently. At the threshold one posterior
-/// is a few milliseconds of work, so the scoped spawn (tens of
-/// microseconds) costs under 1% of the serial path; quick-config learners
-/// (`T <= 80`, a few hundred candidates) stay below it and never spawn.
-const CONCURRENT_POSTERIOR_WORK: usize = 100_000;
-
 /// `predict_batch` of one GP over the flat inputs `flat`, mapped back to
 /// raw (unstandardized) units. Returns `(means, stds)`.
 fn raw_posterior(gp: &mut GaussianProcess, scale: Scale, flat: &[f64]) -> (Vec<f64>, Vec<f64>) {
@@ -166,6 +159,28 @@ fn raw_posterior(gp: &mut GaussianProcess, scale: Scale, flat: &[f64]) -> (Vec<f
         *v = scale.std_from_scaled(*v);
     }
     (means, stds)
+}
+
+/// Keeps the flat `dims`-wide rows `rows` (ascending) of `flat`, in
+/// order, compacting in place.
+fn keep_rows(flat: &mut Vec<f64>, dims: usize, rows: &[usize]) {
+    for (kept, &r) in rows.iter().enumerate() {
+        flat.copy_within(r * dims..(r + 1) * dims, kept * dims);
+    }
+    flat.truncate(rows.len() * dims);
+}
+
+/// The eq. (8) safe set over one candidate set, as
+/// [`EdgeBol::safe_set`] leaves it.
+struct SafeSet {
+    /// The eq. (8) mask per candidate, before the `S_0` union.
+    mask: Vec<bool>,
+    /// Candidate positions in mask ∪ `S_0`, ascending: the rows
+    /// `z_scratch` holds afterwards.
+    eligible: Vec<usize>,
+    /// Per eligible row, the larger of the delay and mAP posterior stds
+    /// (the `MaxUncertainty` score).
+    max_std: Vec<f64>,
 }
 
 /// The EdgeBOL agent.
@@ -196,8 +211,9 @@ pub struct EdgeBol {
     /// Recently selected controls kept in every candidate set.
     elites: Vec<usize>,
     /// Reused flat candidate-matrix buffer for the batched posteriors
-    /// (avoids one `|cand| * dims` allocation per period). `select`
-    /// compacts it in place down to the rows the cost posterior reads.
+    /// (avoids one `|cand| * dims` allocation per period).
+    /// [`Self::safe_set`] compacts it in place, stage by stage, down to
+    /// the rows the next posterior reads.
     z_scratch: Vec<f64>,
     rng: SmallRng,
     /// Updates received so far.
@@ -355,36 +371,30 @@ impl EdgeBol {
         }
     }
 
-    /// Delay and mAP posteriors (the inputs of eq. 8) over the `m`
-    /// candidate rows in `z_scratch`, in raw units.
+    /// The eq. (8) safe set over the candidate rows in `z_scratch`
+    /// (`cand` in order), solved in stages because eq. (8) is a
+    /// conjunction: a control is safe only if its delay upper bound meets
+    /// `d_max` *and* its mAP lower bound meets `rho_min`.
     ///
-    /// The two GPs share nothing but the read-only candidates, so from
-    /// [`CONCURRENT_POSTERIOR_WORK`] up the delay posterior runs on a
-    /// scoped thread while the calling thread solves the mAP one. Each
-    /// result depends only on its own GP, so the output is the same
-    /// either way.
-    fn constraint_posteriors(&mut self, m: usize) -> [(Vec<f64>, Vec<f64>); 2] {
-        let scales = self.scales.expect("posterior requires built GPs");
-        let [_, delay, map] = self.gps.as_mut().expect("posterior requires built GPs").each_mut();
-        let flat = &self.z_scratch;
-        if delay.len() * m < CONCURRENT_POSTERIOR_WORK {
-            return [raw_posterior(delay, scales[1], flat), raw_posterior(map, scales[2], flat)];
-        }
-        std::thread::scope(|s| {
-            let delay = s.spawn(|| raw_posterior(delay, scales[1], flat));
-            let map = raw_posterior(map, scales[2], flat);
-            let delay = delay.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            [delay, map]
-        })
-    }
-
-    /// The safe mask over candidates (eq. 8), before the `S_0` union.
+    /// 1. The delay posterior over every candidate.
+    /// 2. `z_scratch` compacted to the rows that pass the delay half or
+    ///    are in `S_0`.
+    /// 3. The mAP posterior over those rows only, which finishes the mask.
+    /// 4. `z_scratch` compacted to mask ∪ `S_0`, the rows the cost
+    ///    posterior reads.
+    ///
+    /// Each row's posterior depends only on its own input, so the staged
+    /// rows carry the same bits as a solve over every candidate.
     ///
     /// The confidence width combines the GP's epistemic uncertainty with
     /// the (frozen) observation-noise std: eq. (2) constrains the *noisy
     /// realizations* `d_t`, `rho_t`, so a control whose latent mean hugs
     /// the boundary would still violate ~half the periods.
-    fn safe_mask(&self, delay: &(Vec<f64>, Vec<f64>), map: &(Vec<f64>, Vec<f64>)) -> Vec<bool> {
+    fn safe_set(&mut self, cand: &[usize]) -> SafeSet {
+        let dims = self.cfg.context_dims + self.grid.dims();
+        let scales = self.scales.expect("posterior requires built GPs");
+        let [_, delay_gp, map_gp] =
+            self.gps.as_mut().expect("posterior requires built GPs").each_mut();
         let b = self.cfg.beta_sqrt;
         let c = self.constraints;
         // Observation-noise backoff at a ~90% one-sided quantile: the
@@ -393,12 +403,27 @@ impl EdgeBol {
         // noise backoff would freeze safe-set expansion entirely.
         let zd = 1.3 * self.noise_std_raw[1];
         let zm = 1.3 * self.noise_std_raw[2];
-        (0..delay.0.len())
-            .map(|j| {
-                delay.0[j] + b * delay.1[j] + zd <= c.d_max
-                    && map.0[j] - b * map.1[j] - zm >= c.rho_min
-            })
-            .collect()
+        let s0 = &self.s0;
+        let in_s0 = |j: usize| s0.binary_search(&cand[j]).is_ok();
+
+        let delay = raw_posterior(delay_gp, scales[1], &self.z_scratch);
+        let delay_ok = |j: usize| delay.0[j] + b * delay.1[j] + zd <= c.d_max;
+        let staged: Vec<usize> = (0..cand.len()).filter(|&j| delay_ok(j) || in_s0(j)).collect();
+        keep_rows(&mut self.z_scratch, dims, &staged);
+
+        let map = raw_posterior(map_gp, scales[2], &self.z_scratch);
+        let mut mask = vec![false; cand.len()];
+        let (mut kept, mut eligible, mut max_std) = (Vec::new(), Vec::new(), Vec::new());
+        for (row, &j) in staged.iter().enumerate() {
+            mask[j] = delay_ok(j) && map.0[row] - b * map.1[row] - zm >= c.rho_min;
+            if mask[j] || in_s0(j) {
+                kept.push(row);
+                eligible.push(j);
+                max_std.push(delay.1[j].max(map.1[row]));
+            }
+        }
+        keep_rows(&mut self.z_scratch, dims, &kept);
+        SafeSet { mask, eligible, max_std }
     }
 
     /// Estimated safe-set size over the *full* grid for the given context
@@ -409,14 +434,7 @@ impl EdgeBol {
         }
         let cand: Vec<usize> = (0..self.grid.len()).collect();
         self.write_candidates(context, &cand);
-        let [delay, map] = self.constraint_posteriors(cand.len());
-        let mask = self.safe_mask(&delay, &map);
-        let mut safe: Vec<usize> =
-            cand.iter().zip(&mask).filter(|(_, &m)| m).map(|(&i, _)| i).collect();
-        safe.extend_from_slice(&self.s0);
-        safe.sort_unstable();
-        safe.dedup();
-        safe.len()
+        self.safe_set(&cand).eligible.len()
     }
 
     /// Debug introspection: posterior `(cost mu, cost sd, delay mu,
@@ -442,9 +460,7 @@ impl EdgeBol {
         let n = samples.min(self.grid.len()).max(1);
         let cand: Vec<usize> = (0..n).map(|_| self.rng.random_range(0..self.grid.len())).collect();
         self.write_candidates(context, &cand);
-        let [delay, map] = self.constraint_posteriors(cand.len());
-        let mask = self.safe_mask(&delay, &map);
-        let hits = mask.iter().filter(|&&m| m).count();
+        let hits = self.safe_set(&cand).mask.iter().filter(|&&m| m).count();
         let est = (hits as f64 / n as f64 * self.grid.len() as f64).round() as usize;
         est.max(self.s0.len())
     }
@@ -781,67 +797,57 @@ impl GridAgent for EdgeBol {
         }
         let cand = self.candidates();
         self.write_candidates(context, &cand);
-        let [delay, map] = self.constraint_posteriors(cand.len());
-        let mask = self.safe_mask(&delay, &map);
-
         let acquisition = self.cfg.acquisition;
-        let use_mask = acquisition != Acquisition::UnconstrainedLcb;
-        let s0 = &self.s0;
-        let eligible = |j: usize| !use_mask || mask[j] || s0.binary_search(&cand[j]).is_ok();
-        // The cost posterior only where the acquisition reads it: at the
-        // eligible rows, in candidate order (every row without the mask,
-        // none for MaxUncertainty). Each row's posterior depends only on
-        // its own input, so the gathered rows carry the same bits as the
-        // full solve; the gather compacts `z_scratch` in place.
+        // The eligible candidate positions, with `z_scratch` compacted to
+        // exactly their rows: mask ∪ S_0, or every candidate for the
+        // unconstrained ablation, which never reads the mask and so
+        // solves neither constraint posterior.
+        let (eligible, max_std) = if acquisition == Acquisition::UnconstrainedLcb {
+            ((0..cand.len()).collect(), Vec::new())
+        } else {
+            let safe = self.safe_set(&cand);
+            (safe.eligible, safe.max_std)
+        };
+        // The cost posterior only where the acquisition reads it (none
+        // for MaxUncertainty); each row's posterior depends only on its
+        // own input, so the eligible rows carry the same bits as the full
+        // solve.
         let cost = match acquisition {
             Acquisition::MaxUncertainty => (Vec::new(), Vec::new()),
             Acquisition::ConstrainedLcb
             | Acquisition::UnconstrainedLcb
             | Acquisition::ThompsonSampling => {
-                let dims = self.cfg.context_dims + self.grid.dims();
-                let mut kept = 0;
-                for j in (0..cand.len()).filter(|&j| eligible(j)) {
-                    self.z_scratch.copy_within(j * dims..(j + 1) * dims, kept * dims);
-                    kept += 1;
-                }
-                self.z_scratch.truncate(kept * dims);
                 let scale = self.scales.expect("posterior requires built GPs")[0];
                 let gps = self.gps.as_mut().expect("posterior requires built GPs");
                 raw_posterior(&mut gps[0], scale, &self.z_scratch)
             }
         };
+        // Thompson sampling draws for every candidate, eligible or not,
+        // in candidate order: the RNG stream is that of a draw over the
+        // full posterior.
+        let draws: Vec<f64> = if acquisition == Acquisition::ThompsonSampling {
+            (0..cand.len()).map(|_| edgebol_linalg::stats::normal01(&mut self.rng)).collect()
+        } else {
+            Vec::new()
+        };
 
         let b = self.cfg.beta_sqrt;
-        // `row` walks the cost posterior alongside the eligible candidates.
-        let mut row = 0;
         let mut best: Option<(usize, f64)> = None;
-        for (j, &idx) in cand.iter().enumerate() {
-            // Thompson sampling draws for every candidate, eligible or
-            // not, in candidate order: the RNG stream is that of a draw
-            // over the full posterior.
-            let draw = if acquisition == Acquisition::ThompsonSampling {
-                edgebol_linalg::stats::normal01(&mut self.rng)
-            } else {
-                0.0
-            };
-            if !eligible(j) {
-                continue;
-            }
+        for (row, &j) in eligible.iter().enumerate() {
             let s = match acquisition {
                 Acquisition::ConstrainedLcb | Acquisition::UnconstrainedLcb => {
                     cost.0[row] - b * cost.1[row]
                 }
                 // Negated: we minimize the score below.
-                Acquisition::MaxUncertainty => -(delay.1[j].max(map.1[j])),
-                Acquisition::ThompsonSampling => cost.0[row] + cost.1[row] * draw,
+                Acquisition::MaxUncertainty => -max_std[row],
+                Acquisition::ThompsonSampling => cost.0[row] + cost.1[row] * draws[j],
             };
-            row += 1;
             if best.is_none_or(|(_, bs)| s < bs) {
-                best = Some((idx, s));
+                best = Some((cand[j], s));
             }
         }
         // The safe set always contains S_0, so `best` is always present
-        // when use_mask is set; without the mask every candidate competes.
+        // under the mask; without it every candidate competes.
         let chosen = best.expect("candidate set never empty").0;
         self.elites.push(chosen);
         if self.elites.len() > 64 {
@@ -891,6 +897,7 @@ impl GridAgent for EdgeBol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgebol_gp::PARALLEL_POSTERIOR_WORK;
 
     /// A synthetic environment on the unit cube with known optimum:
     /// cost falls as controls fall; delay rises as controls fall.
@@ -942,34 +949,6 @@ mod tests {
         (agent, history)
     }
 
-    /// Above the concurrency threshold the delay and mAP posteriors run
-    /// on two threads; the result must equal serial `predict_batch` calls
-    /// on clones of the same GPs, bit for bit.
-    #[test]
-    fn concurrent_posterior_equals_serial_predict_batch() {
-        let (mut agent, _) = run_toy(cfg(), 80);
-        let ctx = [0.3, 0.7, 0.2];
-        let cand: Vec<usize> = (0..agent.grid().len()).collect();
-        let mut serial = agent.gps.clone().expect("GPs built after warm-up");
-        let scales = agent.scales.expect("scales frozen after warm-up");
-        assert!(
-            serial[0].len() * cand.len() >= CONCURRENT_POSTERIOR_WORK,
-            "T = {} x M = {} must reach the concurrent path",
-            serial[0].len(),
-            cand.len()
-        );
-        agent.write_candidates(&ctx, &cand);
-        let concurrent = agent.constraint_posteriors(cand.len());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (k, got) in [(1, &concurrent[0]), (2, &concurrent[1])] {
-            let (m, s) = serial[k].predict_batch(&agent.z_scratch);
-            let m: Vec<f64> = m.into_iter().map(|v| scales[k].mean_from_scaled(v)).collect();
-            let s: Vec<f64> = s.into_iter().map(|v| scales[k].std_from_scaled(v)).collect();
-            assert_eq!(bits(&got.0), bits(&m), "means of GP {k}");
-            assert_eq!(bits(&got.1), bits(&s), "stds of GP {k}");
-        }
-    }
-
     /// All three posteriors over every candidate in `cand`, in raw units,
     /// by serial `predict_batch` calls: the full solve that `select` and
     /// `safe_set_size` avoid.
@@ -993,6 +972,36 @@ mod tests {
         })
     }
 
+    /// The eq. (8) mask (before the `S_0` union) from full delay and mAP
+    /// posteriors: both halves evaluated at every candidate.
+    fn full_mask(
+        agent: &EdgeBol,
+        delay: &(Vec<f64>, Vec<f64>),
+        map: &(Vec<f64>, Vec<f64>),
+    ) -> Vec<bool> {
+        let b = agent.cfg.beta_sqrt;
+        let c = agent.constraints;
+        let zd = 1.3 * agent.noise_std_raw[1];
+        let zm = 1.3 * agent.noise_std_raw[2];
+        (0..delay.0.len())
+            .map(|j| {
+                let delay_ok = delay.0[j] + b * delay.1[j] + zd <= c.d_max;
+                let map_ok = map.0[j] - b * map.1[j] - zm >= c.rho_min;
+                delay_ok && map_ok
+            })
+            .collect()
+    }
+
+    /// How many candidates of `cand` pass the delay half of eq. (8), from
+    /// the full delay posterior.
+    fn delay_passes(agent: &mut EdgeBol, context: &[f64], cand: &[usize]) -> usize {
+        let [_, delay, _] = full_posteriors(agent, context, cand);
+        let (b, zd) = (agent.cfg.beta_sqrt, 1.3 * agent.noise_std_raw[1]);
+        (0..cand.len())
+            .filter(|&j| delay.0[j] + b * delay.1[j] + zd <= agent.constraints.d_max)
+            .count()
+    }
+
     /// Algorithm 1 over the full posteriors: all three GPs solved at
     /// every candidate, Thompson draws materialized for every candidate
     /// up front, then the acquisition's rule over the safe set.
@@ -1003,7 +1012,7 @@ mod tests {
         }
         let cand = agent.candidates();
         let [cost, delay, map] = full_posteriors(agent, context, &cand);
-        let mask = agent.safe_mask(&delay, &map);
+        let mask = full_mask(agent, &delay, &map);
         let acquisition = agent.cfg.acquisition;
         let thompson: Vec<f64> = if acquisition == Acquisition::ThompsonSampling {
             (0..cand.len())
@@ -1039,13 +1048,16 @@ mod tests {
         chosen
     }
 
-    /// `select` solves the cost posterior only at the rows its
-    /// acquisition reads, yet every decision and every byte of learner
-    /// state (RNG stream included) matches the full-posterior reference,
-    /// for all four acquisitions, with window x candidates both below and
-    /// above the concurrency threshold. A stretch of unsatisfiable delay
-    /// bounds empties the eq. (8) mask, leaving `S_0` as the only
-    /// eligible control.
+    /// `select` stages the safe set (mAP only where delay passes) and
+    /// solves the cost posterior only at the rows its acquisition reads,
+    /// yet every decision and every byte of learner state (RNG stream
+    /// included) matches the full-posterior reference, for all four
+    /// acquisitions, with window x candidates both below and above the
+    /// threshold at which `predict_batch` splits its tiles. Three
+    /// stretches stress the stages: an unsatisfiable delay bound (no
+    /// candidate passes delay, so `S_0` alone is eligible), a vacuous one
+    /// (every candidate passes delay) and an unsatisfiable mAP bound
+    /// (delay passes somewhere, the mAP half empties the mask).
     #[test]
     fn restricted_selection_matches_the_full_posterior_reference() {
         let toy = Toy { d_max: 0.5 };
@@ -1062,16 +1074,30 @@ mod tests {
             let mut reference = EdgeBol::with_grid(c, ControlGrid::new(6, 4));
             let (mut below, mut above) = (false, false);
             for step in 0..100 {
-                let d_max = if (50..56).contains(&step) { 0.0 } else { 0.5 };
+                let d_max = match step {
+                    50..56 => NO_DELAY_PASSES,
+                    64..70 => EVERY_DELAY_PASSES,
+                    _ => 0.5,
+                };
+                let rho_min = if (78..84).contains(&step) { 2.0 } else { 0.0 };
                 for agent in [&mut live, &mut reference] {
-                    agent.set_constraints(Constraints { d_max, rho_min: 0.0 });
-                }
-                if let Some(gps) = &live.gps {
-                    let work = gps[0].len() * live.grid().len();
-                    below |= work < CONCURRENT_POSTERIOR_WORK;
-                    above |= work >= CONCURRENT_POSTERIOR_WORK;
+                    agent.set_constraints(Constraints { d_max, rho_min });
                 }
                 let ctx = [0.5, 0.2 + 0.006 * step as f64, 0.1];
+                if let Some(gps) = &live.gps {
+                    let work = gps[0].len() * live.grid().len();
+                    below |= work < PARALLEL_POSTERIOR_WORK;
+                    above |= work >= PARALLEL_POSTERIOR_WORK;
+                    if d_max != 0.5 {
+                        let all: Vec<usize> = (0..live.grid().len()).collect();
+                        let passes = delay_passes(&mut live, &ctx, &all);
+                        let want = if d_max == NO_DELAY_PASSES { 0 } else { all.len() };
+                        assert_eq!(
+                            passes, want,
+                            "step {step}: delay stretch is not what it claims"
+                        );
+                    }
+                }
                 let got = live.select(&ctx);
                 let want = reference_select(&mut reference, &ctx);
                 assert_eq!(got, want, "{acquisition:?}: choice diverged at step {step}");
@@ -1087,25 +1113,42 @@ mod tests {
         }
     }
 
-    /// `safe_set_size` (constraint GPs only) counts exactly the controls
-    /// of the full three-posterior mask unioned with `S_0`, on both sides
-    /// of the concurrency threshold and under an unsatisfiable bound.
+    /// A delay bound no candidate meets.
+    const NO_DELAY_PASSES: f64 = 0.0;
+    /// A delay bound every candidate meets.
+    const EVERY_DELAY_PASSES: f64 = 1e9;
+
+    /// `safe_set_size` (staged constraint GPs only) counts exactly the
+    /// controls of the full three-posterior mask unioned with `S_0`, on
+    /// both sides of the tile-split threshold, under an unsatisfiable and
+    /// a vacuous delay bound, and under an unsatisfiable mAP bound.
     #[test]
     fn safe_set_size_equals_the_full_posterior_count() {
         for steps in [20, 80] {
             let (mut agent, _) = run_toy(cfg(), steps);
-            for d_max in [0.5, 0.3, 0.0] {
-                agent.set_constraints(Constraints { d_max, rho_min: 0.0 });
+            let bounds = [
+                (0.5, 0.0),
+                (0.3, 0.0),
+                (NO_DELAY_PASSES, 0.0),
+                (EVERY_DELAY_PASSES, 0.0),
+                (0.5, 2.0),
+            ];
+            for (d_max, rho_min) in bounds {
+                agent.set_constraints(Constraints { d_max, rho_min });
                 let ctx = [0.4, 0.6, 0.1];
                 let cand: Vec<usize> = (0..agent.grid().len()).collect();
                 let [_, delay, map] = full_posteriors(&mut agent, &ctx, &cand);
-                let mask = agent.safe_mask(&delay, &map);
+                let mask = full_mask(&agent, &delay, &map);
                 let want = cand
                     .iter()
                     .zip(&mask)
                     .filter(|&(idx, &safe)| safe || agent.s0.contains(idx))
                     .count();
-                assert_eq!(agent.safe_set_size(&ctx), want, "T = {steps}, d_max = {d_max}");
+                assert_eq!(
+                    agent.safe_set_size(&ctx),
+                    want,
+                    "T = {steps}, d_max = {d_max}, rho_min = {rho_min}"
+                );
             }
         }
     }

@@ -53,6 +53,14 @@ impl EvictStrategy {
     }
 }
 
+/// Window length × candidate count from which
+/// [`GaussianProcess::predict_batch`] splits its tiles across two
+/// threads. At the threshold the posterior is a few milliseconds of work,
+/// so the scoped spawn (tens of microseconds) costs under 1% of it;
+/// quick-config learners (`T <= 80`, a few hundred candidates) stay below
+/// it and never spawn.
+pub const PARALLEL_POSTERIOR_WORK: usize = 100_000;
+
 /// Test-only fault injection for the eviction path, pinning the
 /// transactional guarantee of [`GaussianProcess::observe`]'s evict step.
 #[cfg(test)]
@@ -312,6 +320,12 @@ impl GaussianProcess {
     /// ascending `j`; sum of squares over ascending `i`), so the tiling is
     /// bit-for-bit invisible.
     ///
+    /// From [`PARALLEL_POSTERIOR_WORK`] (window × candidates) up, with at
+    /// least two tiles, the tiles are split at a tile boundary: the first
+    /// half (rounded up) runs on the calling thread and the rest on one
+    /// scoped thread. Each element depends only on its own candidate, so
+    /// the split is bit-for-bit invisible too.
+    ///
     /// # Panics
     /// Panics if `points.len()` is not a multiple of `kernel.dim()`.
     pub fn predict_batch(&mut self, points: &[f64]) -> (Vec<f64>, Vec<f64>) {
@@ -322,10 +336,40 @@ impl GaussianProcess {
             return (vec![0.0; m], vec![self.kernel.prior_var().sqrt(); m]);
         }
         self.refresh_alpha();
-        let n = self.len();
-        let prior = self.kernel.prior_var();
         let mut means = vec![0.0; m];
         let mut stds = vec![0.0; m];
+        let tiles = m.div_ceil(SOLVE_TILE);
+        if self.len() * m >= PARALLEL_POSTERIOR_WORK && tiles >= 2 {
+            self.posterior_split(points, &mut means, &mut stds);
+        } else {
+            self.posterior_tiles(points, &mut means, &mut stds);
+        }
+        (means, stds)
+    }
+
+    /// [`Self::posterior_tiles`] with the first `ceil(tiles / 2)` tiles on
+    /// the calling thread and the rest on one scoped thread; a panic on
+    /// either side is re-raised here.
+    fn posterior_split(&self, points: &[f64], means: &mut [f64], stds: &mut [f64]) {
+        let at = means.len().div_ceil(SOLVE_TILE).div_ceil(2) * SOLVE_TILE;
+        let (points0, points1) = points.split_at(at * self.kernel.dim());
+        let (means0, means1) = means.split_at_mut(at);
+        let (stds0, stds1) = stds.split_at_mut(at);
+        std::thread::scope(|s| {
+            let second = s.spawn(|| self.posterior_tiles(points1, means1, stds1));
+            self.posterior_tiles(points0, means0, stds0);
+            second.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        });
+    }
+
+    /// The tiled posterior of [`Self::predict_batch`] over `points`, into
+    /// the zeroed `means` and `stds` (one entry per point). Requires a
+    /// fresh `alpha` and a non-empty window.
+    fn posterior_tiles(&self, points: &[f64], means: &mut [f64], stds: &mut [f64]) {
+        let d = self.kernel.dim();
+        let m = means.len();
+        let n = self.len();
+        let prior = self.kernel.prior_var();
         let mut tile = vec![0.0; n * SOLVE_TILE.min(m)];
         for c0 in (0..m).step_by(SOLVE_TILE) {
             let w = SOLVE_TILE.min(m - c0);
@@ -350,13 +394,12 @@ impl GaussianProcess {
                 }
             }
         }
-        for mu in &mut means {
+        for mu in means.iter_mut() {
             *mu += self.y_mean;
         }
-        for s in &mut stds {
+        for s in stds.iter_mut() {
             *s = (prior - *s).max(0.0).sqrt();
         }
-        (means, stds)
     }
 
     /// Draws one sample of the posterior *marginals* at the given points:
@@ -871,6 +914,90 @@ mod tests {
         /// Candidate counts: none, one, one past a tile, a ragged tail.
         const CANDIDATES: [usize; 4] = [0, 1, SOLVE_TILE + 1, 3 * SOLVE_TILE + 5];
         const DIM: usize = 3;
+
+        /// The tiled posterior on one thread, as `predict_batch` computed
+        /// it before the tiles were split across threads.
+        fn serial_tiled_predict_batch(
+            gp: &mut GaussianProcess,
+            points: &[f64],
+        ) -> (Vec<f64>, Vec<f64>) {
+            let d = gp.kernel.dim();
+            let m = points.len() / d;
+            gp.refresh_alpha();
+            let n = gp.len();
+            let (mut means, mut stds) = (vec![0.0; m], vec![0.0; m]);
+            for c0 in (0..m).step_by(SOLVE_TILE) {
+                let w = SOLVE_TILE.min(m - c0);
+                let mut tile = vec![0.0; n * w];
+                for i in 0..n {
+                    for k in 0..w {
+                        let z = &points[(c0 + k) * d..(c0 + k + 1) * d];
+                        tile[i * w + k] = gp.kernel.eval(gp.x(i), z);
+                    }
+                }
+                for (row, &a) in tile.chunks_exact(w).zip(&gp.alpha) {
+                    vecops::axpy(a, row, &mut means[c0..c0 + w]);
+                }
+                solve_lower_strided(gp.chol.factor_l(), &mut tile, w, 0..w);
+                for row in tile.chunks_exact(w) {
+                    for (s, &vij) in stds[c0..c0 + w].iter_mut().zip(row) {
+                        *s += vij * vij;
+                    }
+                }
+            }
+            let prior = gp.kernel.prior_var();
+            let means = means.into_iter().map(|mu| mu + gp.y_mean).collect();
+            let stds = stds.into_iter().map(|s| (prior - s).max(0.0).sqrt()).collect();
+            (means, stds)
+        }
+
+        /// Candidate counts for the split: one tile (single, short and
+        /// full), two tiles with a partial second, three (an odd count,
+        /// split 2 + 1), and the learner's ~1,930 (31 tiles, ragged tail).
+        const SPLIT_CANDIDATES: [usize; 6] = [1, 63, 64, 65, 129, 1930];
+
+        /// `predict_batch` above the work threshold splits its tiles
+        /// across two threads; the result must equal the serial tiled
+        /// evaluation bit for bit. `posterior_split` is also driven
+        /// directly at every candidate count with two or more tiles, so
+        /// the split runs on odd and partial tile counts that the
+        /// threshold alone reaches only at larger windows.
+        #[test]
+        fn split_posterior_is_bit_identical_to_serial_tiles() {
+            let mut state = 5u64;
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let d = 7;
+            let mut gp = GaussianProcess::new(Kernel::matern32(4.0, vec![0.4; 7]), 0.02);
+            let qs: Vec<f64> = (0..1930 * d).map(|_| next() * 1.4 - 0.2).collect();
+            let mut split_runs = 0;
+            for t in [60, 200] {
+                while gp.len() < t {
+                    let z: Vec<f64> = (0..d).map(|_| next()).collect();
+                    let y = z.iter().sum::<f64>().sin();
+                    gp.observe(&z, y).unwrap();
+                }
+                for m in SPLIT_CANDIDATES {
+                    let q = &qs[..m * d];
+                    let want = serial_tiled_predict_batch(&mut gp, q);
+                    let got = gp.predict_batch(q);
+                    assert_eq!(bits(&got.0), bits(&want.0), "means, T = {t}, M = {m}");
+                    assert_eq!(bits(&got.1), bits(&want.1), "stds, T = {t}, M = {m}");
+                    if t * m >= PARALLEL_POSTERIOR_WORK {
+                        split_runs += 1;
+                    }
+                    if m > SOLVE_TILE {
+                        let (mut means, mut stds) = (vec![0.0; m], vec![0.0; m]);
+                        gp.posterior_split(q, &mut means, &mut stds);
+                        assert_eq!(bits(&means), bits(&want.0), "split means, T = {t}, M = {m}");
+                        assert_eq!(bits(&stds), bits(&want.1), "split stds, T = {t}, M = {m}");
+                    }
+                }
+            }
+            assert_eq!(split_runs, 2, "M = 1930 crosses the threshold at both windows");
+        }
 
         proptest! {
             #[test]

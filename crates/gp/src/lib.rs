@@ -39,7 +39,7 @@ mod gp;
 mod hyperopt;
 mod kernel;
 
-pub use gp::{EvictStrategy, GaussianProcess, GpSnapshot};
+pub use gp::{EvictStrategy, GaussianProcess, GpSnapshot, PARALLEL_POSTERIOR_WORK};
 pub use hyperopt::{fit_hyperparams, nelder_mead, FitResult, HyperFitConfig, NelderMeadOptions};
 pub use kernel::{Kernel, KernelKind};
 

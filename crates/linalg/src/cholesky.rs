@@ -2,7 +2,11 @@
 //! including the incremental row/column append and delete-row downdate
 //! used by the online GP's sliding window.
 
-use crate::{solve_lower, solve_lower_mat, solve_upper, solve_upper_mat, LinalgError, Mat, Result};
+use crate::packed::row_start;
+use crate::{
+    solve_lower, solve_lower_mat, solve_upper, solve_upper_mat, LinalgError, Mat, PackedLower,
+    Result,
+};
 
 /// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L L^T`.
 ///
@@ -12,10 +16,13 @@ use crate::{solve_lower, solve_lower_mat, solve_upper, solve_upper_mat, LinalgEr
 /// * **incremental append** ([`Cholesky::append`]): growing `A` by one
 ///   bordered row/column in `O(n^2)` instead of refactorizing in `O(n^3)`,
 ///   which is what makes the online learner cheap per time period.
+///
+/// The factor is stored packed ([`PackedLower`]): `n(n+1)/2` values, not
+/// `n^2`.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    /// Lower-triangular factor; entries above the diagonal are zero.
-    l: Mat,
+    /// Lower-triangular factor.
+    l: PackedLower,
 }
 
 /// Initial jitter added to the diagonal when a factorization fails, then
@@ -56,45 +63,53 @@ impl Cholesky {
     }
 
     /// Single factorization attempt with a fixed diagonal jitter.
+    ///
+    /// Entry `(i, j)` is `a[i][j]` minus `L[i][k] L[j][k]` over ascending
+    /// `k < j`, then a square root (diagonal) or a division by `L[j][j]`;
+    /// rows are written packed, in order.
     fn factor_raw(a: &Mat, jitter: f64) -> Result<Self> {
         let n = a.rows();
-        let mut l = Mat::zeros(n, n);
+        let mut l: Vec<f64> = Vec::with_capacity(row_start(n));
         for i in 0..n {
+            let start = row_start(i);
             for j in 0..=i {
                 let mut sum = a[(i, j)];
                 if i == j {
                     sum += jitter;
                 }
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+                let (done, row_i) = l.split_at(start);
+                let row_j = if j < i { &done[row_start(j)..row_start(j) + j] } else { row_i };
+                for (&lik, &ljk) in row_i.iter().zip(row_j) {
+                    sum -= lik * ljk;
                 }
-                if i == j {
+                let v = if i == j {
                     if sum <= 0.0 || !sum.is_finite() {
                         return Err(LinalgError::NotPositiveDefinite { pivot: i, jitter });
                     }
-                    l[(i, j)] = sum.sqrt();
+                    sum.sqrt()
                 } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+                    sum / done[row_start(j) + j]
+                };
+                l.push(v);
             }
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky { l: PackedLower::from_packed(n, l) })
     }
 
     /// An empty (0x0) factor, the starting point for incremental growth.
     pub fn empty() -> Self {
-        Cholesky { l: Mat::zeros(0, 0) }
+        Cholesky { l: PackedLower::from_packed(0, Vec::new()) }
     }
 
     /// Dimension of the factored matrix.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.l.dim()
     }
 
     /// Borrow of the lower-triangular factor.
     #[inline]
-    pub fn factor_l(&self) -> &Mat {
+    pub fn factor_l(&self) -> &PackedLower {
         &self.l
     }
 
@@ -103,8 +118,8 @@ impl Cholesky {
     /// If the current factor corresponds to `A` (`n x n`), this updates it
     /// to the factor of the `(n+1) x (n+1)` matrix
     /// `[[A, k], [k^T, kappa]]` in `O(n^2)` time, where `k` is the cross
-    /// column and `kappa` the new diagonal element. The factor grows in
-    /// place; no second `(n+1)^2` matrix is allocated.
+    /// column and `kappa` the new diagonal element. The packed factor
+    /// grows in place by exactly its new row of `n + 1` values.
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] when `k.len() != n` and
@@ -127,9 +142,7 @@ impl Cholesky {
                 return Err(LinalgError::NotPositiveDefinite { pivot: n, jitter: MAX_JITTER });
             }
         }
-        self.l.grow_square();
-        self.l.row_mut(n)[..n].copy_from_slice(&lrow);
-        self.l[(n, n)] = schur.sqrt();
+        self.l.push_row(&lrow, schur.sqrt());
         Ok(())
     }
 
@@ -156,7 +169,8 @@ impl Cholesky {
     /// can fall back to a jittered refactorization.
     ///
     /// The chase runs over the *transpose* of `M`, turning the column
-    /// rotations into [`crate::vecops::rot`] over two contiguous slices.
+    /// rotations into [`crate::vecops::rot`] over two contiguous slices;
+    /// the result is written back packed.
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] when `idx >= n` and
@@ -178,8 +192,7 @@ impl Cholesky {
         let mut w = Mat::zeros(n, m);
         for i in 0..m {
             let src = if i < idx { i } else { i + 1 };
-            let lrow = self.l.row(src);
-            for (j, &v) in lrow.iter().enumerate().take(src + 1) {
+            for (j, &v) in self.l.row(src).iter().enumerate() {
                 w[(j, i)] = v;
             }
         }
@@ -202,14 +215,11 @@ impl Cholesky {
             wk[0] = r;
             wk1[0] = 0.0;
         }
-        let mut l = Mat::zeros(m, m);
+        let mut l = Vec::with_capacity(row_start(m));
         for i in 0..m {
-            let row = l.row_mut(i);
-            for (j, dst) in row.iter_mut().enumerate().take(i + 1) {
-                *dst = w[(j, i)];
-            }
+            l.extend((0..=i).map(|j| w[(j, i)]));
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky { l: PackedLower::from_packed(m, l) })
     }
 
     /// Solves `A x = b` via the two triangular solves.
@@ -336,63 +346,145 @@ mod tests {
         }
     }
 
-    /// The bordered append as it was before in-place growth: a fresh
-    /// `(n+1)^2` factor with the old one copied into it.
-    fn append_by_copy(ch: &Cholesky, k: &[f64], kappa: f64) -> Cholesky {
-        let n = ch.dim();
-        let lrow = if n > 0 { solve_lower(&ch.l, k) } else { Vec::new() };
-        let mut schur = kappa - crate::vecops::dot(&lrow, &lrow);
-        if schur <= 0.0 || !schur.is_finite() {
-            schur = kappa + MAX_JITTER - crate::vecops::dot(&lrow, &lrow);
+    /// The factor as it was stored before packing: a dense `n x n`
+    /// matrix with zeros above the diagonal, grown and downdated by the
+    /// same arithmetic. The reference the packed factor must match bit
+    /// for bit.
+    struct DenseFactor(Mat);
+
+    impl DenseFactor {
+        /// One unjittered factorization attempt over dense storage.
+        fn factor(a: &Mat) -> DenseFactor {
+            let n = a.rows();
+            let mut l = Mat::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = a[(i, j)];
+                    for k in 0..j {
+                        sum -= l[(i, k)] * l[(j, k)];
+                    }
+                    l[(i, j)] = if i == j { sum.sqrt() } else { sum / l[(j, j)] };
+                }
+            }
+            DenseFactor(l)
         }
-        let mut grown = Mat::zeros(n + 1, n + 1);
-        for i in 0..n {
-            grown.row_mut(i)[..n].copy_from_slice(ch.l.row(i));
+
+        /// Bordered append into a fresh `(n+1)^2` matrix.
+        fn append(&self, k: &[f64], kappa: f64) -> DenseFactor {
+            let n = self.0.rows();
+            let mut lrow = k.to_vec();
+            for i in 0..n {
+                let row = self.0.row(i);
+                let mut acc = lrow[i];
+                for j in 0..i {
+                    acc -= row[j] * lrow[j];
+                }
+                lrow[i] = acc / row[i];
+            }
+            let mut schur = kappa - crate::vecops::dot(&lrow, &lrow);
+            if schur <= 0.0 || !schur.is_finite() {
+                schur = kappa + MAX_JITTER - crate::vecops::dot(&lrow, &lrow);
+            }
+            let mut grown = Mat::zeros(n + 1, n + 1);
+            for i in 0..n {
+                grown.row_mut(i)[..n].copy_from_slice(self.0.row(i));
+            }
+            grown.row_mut(n)[..n].copy_from_slice(&lrow);
+            grown[(n, n)] = schur.sqrt();
+            DenseFactor(grown)
         }
-        grown.row_mut(n)[..n].copy_from_slice(&lrow);
-        grown[(n, n)] = schur.sqrt();
-        Cholesky { l: grown }
+
+        /// The Givens-chase delete-row downdate over dense storage.
+        fn delete_row(&self, idx: usize) -> DenseFactor {
+            let n = self.0.rows();
+            let m = n - 1;
+            let mut w = Mat::zeros(n, m);
+            for i in 0..m {
+                let src = if i < idx { i } else { i + 1 };
+                for (j, &v) in self.0.row(src).iter().enumerate().take(src + 1) {
+                    w[(j, i)] = v;
+                }
+            }
+            for k in idx..m {
+                let (head, tail) = w.split_rows_mut(k + 1);
+                let wk = &mut head[k * m + k..(k + 1) * m];
+                let wk1 = &mut tail[k..m];
+                let r = wk[0].hypot(wk1[0]);
+                let (c, s) = (wk[0] / r, wk1[0] / r);
+                crate::vecops::rot(c, s, wk, wk1);
+                wk[0] = r;
+                wk1[0] = 0.0;
+            }
+            DenseFactor(Mat::from_fn(m, m, |i, j| if j <= i { w[(j, i)] } else { 0.0 }))
+        }
     }
 
-    fn assert_same_bits(a: &Cholesky, b: &Cholesky, what: &str) {
-        assert_eq!(a.dim(), b.dim(), "{what}: dimension");
-        let bits = |c: &Cholesky| c.l.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert!(bits(a) == bits(b), "{what}: factor bits differ");
+    fn assert_same_bits(packed: &Cholesky, dense: &DenseFactor, what: &str) {
+        assert_eq!(packed.dim(), dense.0.rows(), "{what}: dimension");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = PackedLower::from_dense(&dense.0);
+        assert!(bits(packed.l.as_slice()) == bits(want.as_slice()), "{what}: factor bits differ");
     }
 
     #[test]
-    fn in_place_append_is_bit_identical_to_allocate_and_copy() {
+    fn packed_append_is_bit_identical_to_the_dense_factor() {
         let a = random_spd(70, 31);
-        let (mut grown, mut copied) = (Cholesky::empty(), Cholesky::empty());
+        let (mut packed, mut dense) = (Cholesky::empty(), DenseFactor(Mat::zeros(0, 0)));
         for i in 0..70 {
             let cross: Vec<f64> = (0..i).map(|j| a[(i, j)]).collect();
-            grown.append(&cross, a[(i, i)]).unwrap();
-            copied = append_by_copy(&copied, &cross, a[(i, i)]);
-            assert_same_bits(&grown, &copied, &format!("after {} appends", i + 1));
+            packed.append(&cross, a[(i, i)]).unwrap();
+            dense = dense.append(&cross, a[(i, i)]);
+            assert_same_bits(&packed, &dense, &format!("after {} appends", i + 1));
         }
     }
 
     #[test]
-    fn in_place_append_is_bit_identical_across_delete_row_cycles() {
+    fn packed_factor_is_bit_identical_across_delete_row_cycles() {
         // A sliding window of 12 over the rows of one SPD matrix, evicting
-        // at varying positions: both appends see the same downdated factor.
+        // at varying positions (row 0 every fifth step): both factors see
+        // the same downdates and appends.
         let a = random_spd(60, 13);
         let mut window: Vec<usize> = Vec::new();
-        let (mut grown, mut copied) = (Cholesky::empty(), Cholesky::empty());
+        let (mut packed, mut dense) = (Cholesky::empty(), DenseFactor(Mat::zeros(0, 0)));
         for t in 0..60 {
             if window.len() == 12 {
                 let p = t % 5;
                 window.remove(p);
-                grown = grown.delete_row(p).unwrap();
-                copied = copied.delete_row(p).unwrap();
-                assert_same_bits(&grown, &copied, &format!("t = {t}, after delete_row({p})"));
+                packed = packed.delete_row(p).unwrap();
+                dense = dense.delete_row(p);
+                assert_same_bits(&packed, &dense, &format!("t = {t}, after delete_row({p})"));
             }
             let cross: Vec<f64> = window.iter().map(|&r| a[(t, r)]).collect();
-            grown.append(&cross, a[(t, t)]).unwrap();
-            copied = append_by_copy(&copied, &cross, a[(t, t)]);
+            packed.append(&cross, a[(t, t)]).unwrap();
+            dense = dense.append(&cross, a[(t, t)]);
             window.push(t);
-            assert_same_bits(&grown, &copied, &format!("t = {t}, after append"));
+            assert_same_bits(&packed, &dense, &format!("t = {t}, after append"));
         }
+    }
+
+    #[test]
+    fn packed_factorization_is_bit_identical_to_the_dense_factor() {
+        for n in [1, 2, 33, 70] {
+            let a = random_spd(n, 44);
+            assert_same_bits(
+                &Cholesky::factor(&a).unwrap(),
+                &DenseFactor::factor(&a),
+                &format!("n = {n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn append_capacity_is_exactly_the_packed_triangle() {
+        let a = random_spd(50, 2);
+        let mut ch = Cholesky::empty();
+        for n in 1..=50 {
+            let cross: Vec<f64> = (0..n - 1).map(|j| a[(n - 1, j)]).collect();
+            ch.append(&cross, a[(n - 1, n - 1)]).unwrap();
+            assert_eq!(ch.l.capacity(), n * (n + 1) / 2, "after {n} appends");
+        }
+        let down = ch.delete_row(0).unwrap();
+        assert_eq!(down.l.capacity(), 49 * 50 / 2, "delete_row writes exactly the packed triangle");
     }
 
     #[test]

@@ -28,12 +28,14 @@
 
 mod cholesky;
 mod matrix;
+mod packed;
 pub mod stats;
 mod triangular;
 pub mod vecops;
 
 pub use cholesky::Cholesky;
 pub use matrix::Mat;
+pub use packed::PackedLower;
 pub use triangular::{
     solve_lower, solve_lower_mat, solve_lower_strided, solve_upper, solve_upper_mat, SOLVE_TILE,
 };

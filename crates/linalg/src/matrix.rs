@@ -116,29 +116,6 @@ impl Mat {
         self.data.split_at_mut(at * self.cols)
     }
 
-    /// Grows a square `n x n` matrix to `(n+1) x (n+1)` in place: every
-    /// entry keeps its position, and the new last row and column are zero.
-    ///
-    /// The storage is extended by exactly the `2n + 1` new entries, then
-    /// rows move back to front to their wider stride (row `i` moves up to
-    /// offset `i (n+1) >= i n`, so it never lands on a row not yet moved).
-    /// This is the bordered Cholesky append's growth step; it replaces an
-    /// allocate-and-copy of the whole factor.
-    pub(crate) fn grow_square(&mut self) {
-        debug_assert!(self.is_square(), "grow_square of a non-square matrix");
-        let n = self.rows;
-        let m = n + 1;
-        self.data.reserve_exact(m * m - n * n);
-        self.data.resize(m * m, 0.0);
-        for i in (0..n).rev() {
-            self.data.copy_within(i * n..(i + 1) * n, i * m);
-            self.data[i * m + n] = 0.0;
-        }
-        self.data[n * m..].fill(0.0);
-        self.rows = m;
-        self.cols = m;
-    }
-
     /// Matrix-vector product `A * x`.
     ///
     /// # Panics
@@ -289,25 +266,6 @@ mod tests {
         // Degenerate splits are legal.
         assert_eq!(m.split_rows_mut(0).0.len(), 0);
         assert_eq!(m.split_rows_mut(4).1.len(), 0);
-    }
-
-    #[test]
-    fn grow_square_keeps_entries_and_zeroes_the_border() {
-        let mut m = Mat::zeros(0, 0);
-        m.grow_square();
-        assert_eq!((m.rows(), m.cols(), m.as_slice()), (1, 1, &[0.0][..]));
-        for n in [1, 2, 5] {
-            let old = Mat::from_fn(n, n, |i, j| (i * n + j) as f64 + 1.0);
-            let mut grown = old.clone();
-            grown.grow_square();
-            assert_eq!((grown.rows(), grown.cols()), (n + 1, n + 1));
-            for i in 0..=n {
-                for j in 0..=n {
-                    let want = if i < n && j < n { old[(i, j)] } else { 0.0 };
-                    assert_eq!(grown[(i, j)], want, "n = {n}, ({i},{j})");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Forward and backward substitution against triangular factors.
 
-use crate::Mat;
+use crate::{Mat, PackedLower};
 use std::ops::Range;
 
 /// Solves `L x = b` where `L` is lower-triangular (forward substitution).
 ///
-/// Only the lower triangle of `l` is read.
-///
 /// # Panics
-/// Panics if `l` is not square or `b.len() != l.rows()`.
-pub fn solve_lower(l: &Mat, b: &[f64]) -> Vec<f64> {
-    assert!(l.is_square(), "solve_lower: matrix must be square");
-    assert_eq!(b.len(), l.rows(), "solve_lower: rhs length mismatch");
-    let n = l.rows();
+/// Panics if `b.len() != l.dim()`.
+pub fn solve_lower(l: &PackedLower, b: &[f64]) -> Vec<f64> {
+    assert_eq!(b.len(), l.dim(), "solve_lower: rhs length mismatch");
+    let n = l.dim();
     let mut x = b.to_vec();
     for i in 0..n {
         let row = l.row(i);
@@ -29,11 +26,10 @@ pub fn solve_lower(l: &Mat, b: &[f64]) -> Vec<f64> {
 /// against the transpose).
 ///
 /// # Panics
-/// Panics if `l` is not square or `b.len() != l.rows()`.
-pub fn solve_upper(l: &Mat, b: &[f64]) -> Vec<f64> {
-    assert!(l.is_square(), "solve_upper: matrix must be square");
-    assert_eq!(b.len(), l.rows(), "solve_upper: rhs length mismatch");
-    let n = l.rows();
+/// Panics if `b.len() != l.dim()`.
+pub fn solve_upper(l: &PackedLower, b: &[f64]) -> Vec<f64> {
+    assert_eq!(b.len(), l.dim(), "solve_upper: rhs length mismatch");
+    let n = l.dim();
     let mut x = b.to_vec();
     for i in (0..n).rev() {
         let mut acc = x[i];
@@ -63,15 +59,14 @@ pub const SOLVE_TILE: usize = 64;
 
 /// Checks the shape contract shared by the strided kernels and returns
 /// the tile width.
-fn tile_width(l: &Mat, x: &[f64], stride: usize, cols: &Range<usize>, what: &str) -> usize {
-    assert!(l.is_square(), "{what}: matrix must be square");
+fn tile_width(l: &PackedLower, x: &[f64], stride: usize, cols: &Range<usize>, what: &str) -> usize {
     assert!(cols.start <= cols.end && cols.end <= stride, "{what}: column range outside stride");
-    assert_eq!(x.len(), l.rows() * stride, "{what}: rhs length must be rows * stride");
+    assert_eq!(x.len(), l.dim() * stride, "{what}: rhs length must be rows * stride");
     cols.end - cols.start
 }
 
 /// Solves `L X = B` in place on the columns `cols` of a row-major
-/// right-hand side `x` with `l.rows()` rows and row stride `stride`
+/// right-hand side `x` with `l.dim()` rows and row stride `stride`
 /// (forward substitution). Columns outside `cols` are left untouched.
 ///
 /// This is the panel kernel behind [`solve_lower_mat`] and the tiled GP
@@ -85,11 +80,11 @@ fn tile_width(l: &Mat, x: &[f64], stride: usize, cols: &Range<usize>, what: &str
 /// column range.
 ///
 /// # Panics
-/// Panics if `l` is not square, `cols` does not fit in `stride`, or
-/// `x.len() != l.rows() * stride`.
-pub fn solve_lower_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<usize>) {
+/// Panics if `cols` does not fit in `stride` or
+/// `x.len() != l.dim() * stride`.
+pub fn solve_lower_strided(l: &PackedLower, x: &mut [f64], stride: usize, cols: Range<usize>) {
     let w = tile_width(l, x, stride, &cols, "solve_lower_strided");
-    let n = l.rows();
+    let n = l.dim();
     let c0 = cols.start;
     let mut bs = 0;
     while bs < n {
@@ -131,7 +126,7 @@ pub fn solve_lower_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<us
 }
 
 /// Solves `L^T X = B` in place on the columns `cols` of a row-major
-/// right-hand side `x` with `l.rows()` rows and row stride `stride`
+/// right-hand side `x` with `l.dim()` rows and row stride `stride`
 /// (backward substitution against the transpose). The mirror image of
 /// [`solve_lower_strided`], sweeping panels bottom-up. Each element
 /// subtracts the rows below its panel in ascending order, then the rows
@@ -141,11 +136,11 @@ pub fn solve_lower_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<us
 /// ascending sweep).
 ///
 /// # Panics
-/// Panics if `l` is not square, `cols` does not fit in `stride`, or
-/// `x.len() != l.rows() * stride`.
-fn solve_upper_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<usize>) {
+/// Panics if `cols` does not fit in `stride` or
+/// `x.len() != l.dim() * stride`.
+fn solve_upper_strided(l: &PackedLower, x: &mut [f64], stride: usize, cols: Range<usize>) {
     let w = tile_width(l, x, stride, &cols, "solve_upper_strided");
-    let n = l.rows();
+    let n = l.dim();
     let c0 = cols.start;
     let mut be = n;
     while be > 0 {
@@ -192,7 +187,11 @@ fn solve_upper_strided(l: &Mat, x: &mut [f64], stride: usize, cols: Range<usize>
 
 /// Runs a strided kernel over `b` one [`SOLVE_TILE`]-column tile at a
 /// time and returns the solved copy.
-fn solve_tiled(l: &Mat, b: &Mat, kernel: fn(&Mat, &mut [f64], usize, Range<usize>)) -> Mat {
+fn solve_tiled(
+    l: &PackedLower,
+    b: &Mat,
+    kernel: fn(&PackedLower, &mut [f64], usize, Range<usize>),
+) -> Mat {
     let (n, m) = (b.rows(), b.cols());
     let mut x = b.as_slice().to_vec();
     for c0 in (0..m).step_by(SOLVE_TILE) {
@@ -209,10 +208,9 @@ fn solve_tiled(l: &Mat, b: &Mat, kernel: fn(&Mat, &mut [f64], usize, Range<usize
 /// column-wise [`solve_lower`] calls.
 ///
 /// # Panics
-/// Panics if `l` is not square or `b.rows() != l.rows()`.
-pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
-    assert!(l.is_square(), "solve_lower_mat: matrix must be square");
-    assert_eq!(b.rows(), l.rows(), "solve_lower_mat: rhs rows mismatch");
+/// Panics if `b.rows() != l.dim()`.
+pub fn solve_lower_mat(l: &PackedLower, b: &Mat) -> Mat {
+    assert_eq!(b.rows(), l.dim(), "solve_lower_mat: rhs rows mismatch");
     solve_tiled(l, b, solve_lower_strided)
 }
 
@@ -222,10 +220,9 @@ pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
 /// bit-for-bit the same as the untiled panel solve.
 ///
 /// # Panics
-/// Panics if `l` is not square or `b.rows() != l.rows()`.
-pub fn solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
-    assert!(l.is_square(), "solve_upper_mat: matrix must be square");
-    assert_eq!(b.rows(), l.rows(), "solve_upper_mat: rhs rows mismatch");
+/// Panics if `b.rows() != l.dim()`.
+pub fn solve_upper_mat(l: &PackedLower, b: &Mat) -> Mat {
+    assert_eq!(b.rows(), l.dim(), "solve_upper_mat: rhs rows mismatch");
     solve_tiled(l, b, solve_upper_strided)
 }
 
@@ -234,16 +231,19 @@ mod tests {
     use super::*;
     use crate::Mat;
 
-    fn lower3() -> Mat {
+    fn lower3_dense() -> Mat {
         Mat::from_rows(&[&[2.0, 0.0, 0.0], &[1.0, 3.0, 0.0], &[4.0, 5.0, 6.0]])
+    }
+
+    fn lower3() -> PackedLower {
+        PackedLower::from_dense(&lower3_dense())
     }
 
     #[test]
     fn forward_substitution() {
-        let l = lower3();
-        let x = solve_lower(&l, &[2.0, 5.0, 32.0]);
+        let x = solve_lower(&lower3(), &[2.0, 5.0, 32.0]);
         // Verify by multiplying back.
-        let b = l.matvec(&x);
+        let b = lower3_dense().matvec(&x);
         for (bi, want) in b.iter().zip([2.0, 5.0, 32.0]) {
             assert!((bi - want).abs() < 1e-12);
         }
@@ -251,9 +251,8 @@ mod tests {
 
     #[test]
     fn backward_substitution() {
-        let l = lower3();
-        let x = solve_upper(&l, &[1.0, 2.0, 3.0]);
-        let lt = l.transpose();
+        let x = solve_upper(&lower3(), &[1.0, 2.0, 3.0]);
+        let lt = lower3_dense().transpose();
         let b = lt.matvec(&x);
         for (bi, want) in b.iter().zip([1.0, 2.0, 3.0]) {
             assert!((bi - want).abs() < 1e-12);
@@ -276,7 +275,7 @@ mod tests {
 
     #[test]
     fn identity_solves_are_identity() {
-        let i = Mat::identity(4);
+        let i = PackedLower::from_dense(&Mat::identity(4));
         let b = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(solve_lower(&i, &b), b);
         assert_eq!(solve_upper(&i, &b), b);
@@ -302,7 +301,7 @@ mod tests {
     #[test]
     fn blocked_solves_match_vector_solves_across_panels() {
         let n = 83; // > 2 * SOLVE_BLOCK, not a multiple of the block size
-        let l = dense_lower(n);
+        let l = PackedLower::from_dense(&dense_lower(n));
         let m = 5;
         let b = Mat::from_fn(n, m, |i, j| ((i + 2 * j) % 13) as f64 * 0.25 - 1.0);
         let lo = solve_lower_mat(&l, &b);
@@ -337,11 +336,42 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The untiled blocked backward solve as it was before column tiling:
-    /// one pass over all `m` columns per row panel. The reference the
-    /// tiled [`solve_upper_mat`] must reproduce bit for bit (it does not
-    /// equal column-wise [`solve_upper`] bit for bit, because the panel
-    /// order visits rows below the panel before rows inside it).
+    /// Forward substitution against a dense (`n x n`) factor, as
+    /// [`solve_lower`] computed it before the factor was packed.
+    fn dense_solve_lower(l: &Mat, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        for i in 0..l.rows() {
+            let row = l.row(i);
+            let mut acc = x[i];
+            for j in 0..i {
+                acc -= row[j] * x[j];
+            }
+            x[i] = acc / row[i];
+        }
+        x
+    }
+
+    /// Backward substitution against a dense factor, as [`solve_upper`]
+    /// computed it before the factor was packed.
+    fn dense_solve_upper(l: &Mat, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut x = b.to_vec();
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for j in (i + 1)..n {
+                acc -= l[(j, i)] * x[j];
+            }
+            x[i] = acc / l[(i, i)];
+        }
+        x
+    }
+
+    /// The untiled blocked backward solve against a dense factor, as it
+    /// was before column tiling and packing: one pass over all `m`
+    /// columns per row panel. The reference the tiled [`solve_upper_mat`]
+    /// must reproduce bit for bit (it does not equal column-wise
+    /// [`solve_upper`] bit for bit, because the panel order visits rows
+    /// below the panel before rows inside it).
     fn untiled_solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
         let n = l.rows();
         let m = b.cols();
@@ -384,56 +414,85 @@ mod tests {
         x
     }
 
+    /// Column-wise [`dense_solve_lower`] over every column of `b`.
+    fn dense_solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
+        let (n, m) = (b.rows(), b.cols());
+        let mut x = Mat::zeros(n, m);
+        for col in 0..m {
+            let bcol: Vec<f64> = (0..n).map(|r| b[(r, col)]).collect();
+            for (r, v) in dense_solve_lower(l, &bcol).into_iter().enumerate() {
+                x[(r, col)] = v;
+            }
+        }
+        x
+    }
+
+    /// The vector solves against the packed factor repeat the dense
+    /// solves bit for bit: packing changes where entries live, not the
+    /// arithmetic on them.
+    #[test]
+    fn packed_vector_solves_are_bit_identical_to_dense() {
+        for n in [1, SOLVE_BLOCK, 3 * SOLVE_BLOCK + 5] {
+            let dense = dense_lower(n);
+            let l = PackedLower::from_dense(&dense);
+            let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 17) as f64 * 0.125 - 1.0).collect();
+            assert_eq!(bits(&solve_lower(&l, &b)), bits(&dense_solve_lower(&dense, &b)), "n = {n}");
+            assert_eq!(bits(&solve_upper(&l, &b)), bits(&dense_solve_upper(&dense, &b)), "n = {n}");
+        }
+    }
+
     /// Column counts around the tile width, plus the learner's full
     /// candidate count.
     const TILE_EDGE_COLS: [usize; 5] = [1, SOLVE_TILE - 1, SOLVE_TILE, SOLVE_TILE + 1, 2100];
 
     #[test]
-    fn tiled_forward_solve_is_bit_identical_to_vector_solves() {
+    fn tiled_forward_solve_is_bit_identical_to_dense_vector_solves() {
         let n = 3 * SOLVE_BLOCK + 5;
-        let l = dense_lower(n);
+        let dense = dense_lower(n);
+        let l = PackedLower::from_dense(&dense);
         for m in TILE_EDGE_COLS {
             let b = Mat::from_fn(n, m, |i, j| ((i * 5 + 3 * j) % 17) as f64 * 0.125 - 1.0);
             let x = solve_lower_mat(&l, &b);
-            for col in 0..m {
-                let bcol: Vec<f64> = (0..n).map(|r| b[(r, col)]).collect();
-                let xcol: Vec<f64> = (0..n).map(|r| x[(r, col)]).collect();
-                assert_eq!(bits(&xcol), bits(&solve_lower(&l, &bcol)), "m = {m}, column {col}");
-            }
+            let want = dense_solve_lower_mat(&dense, &b);
+            assert_eq!(bits(x.as_slice()), bits(want.as_slice()), "m = {m}");
         }
     }
 
     #[test]
-    fn tiled_backward_solve_is_bit_identical_to_the_untiled_solve() {
+    fn tiled_backward_solve_is_bit_identical_to_the_untiled_dense_solve() {
         let n = 3 * SOLVE_BLOCK + 5;
-        let l = dense_lower(n);
+        let dense = dense_lower(n);
+        let l = PackedLower::from_dense(&dense);
         for m in TILE_EDGE_COLS {
             let b = Mat::from_fn(n, m, |i, j| ((i * 5 + 3 * j) % 17) as f64 * 0.125 - 1.0);
             let tiled = solve_upper_mat(&l, &b);
-            let untiled = untiled_solve_upper_mat(&l, &b);
+            let untiled = untiled_solve_upper_mat(&dense, &b);
             assert_eq!(bits(tiled.as_slice()), bits(untiled.as_slice()), "m = {m}");
         }
     }
 
     /// The strided kernels solve exactly the requested columns of a wider
-    /// buffer, bit-identically to solving those columns alone, and leave
-    /// every other column untouched.
+    /// buffer, bit-identically to the dense references solving those
+    /// columns alone, and leave every other column untouched.
     #[test]
     fn strided_kernels_touch_only_their_column_range() {
         let n = 2 * SOLVE_BLOCK + 3;
-        let l = dense_lower(n);
+        let dense = dense_lower(n);
+        let l = PackedLower::from_dense(&dense);
         let stride = 11;
         let cols = 3..8;
         let b = Mat::from_fn(n, stride, |i, j| ((i * 3 + 7 * j) % 13) as f64 * 0.25 - 1.5);
         let alone = Mat::from_fn(n, cols.len(), |i, j| b[(i, cols.start + j)]);
-        type Kernel = fn(&Mat, &mut [f64], usize, Range<usize>);
-        type Whole = fn(&Mat, &Mat) -> Mat;
-        let pairs: [(Kernel, Whole); 2] =
-            [(solve_lower_strided, solve_lower_mat), (solve_upper_strided, solve_upper_mat)];
-        for (kernel, whole) in pairs {
+        type Kernel = fn(&PackedLower, &mut [f64], usize, Range<usize>);
+        type Reference = fn(&Mat, &Mat) -> Mat;
+        let pairs: [(Kernel, Reference); 2] = [
+            (solve_lower_strided, dense_solve_lower_mat),
+            (solve_upper_strided, untiled_solve_upper_mat),
+        ];
+        for (kernel, reference) in pairs {
             let mut x = b.as_slice().to_vec();
             kernel(&l, &mut x, stride, cols.clone());
-            let want = whole(&l, &alone);
+            let want = reference(&dense, &alone);
             for i in 0..n {
                 for j in 0..stride {
                     let got = x[i * stride + j];

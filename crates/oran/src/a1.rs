@@ -421,6 +421,11 @@ mod json {
                                     .text
                                     .get(self.pos + 1..self.pos + 5)
                                     .ok_or_else(|| self.err("truncated \\u escape"))?;
+                                // Exactly four hex digits: `from_str_radix`
+                                // alone would also take a leading sign.
+                                if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                    return Err(self.err("bad \\u escape"));
+                                }
                                 let code = u32::from_str_radix(hex, 16)
                                     .map_err(|_| self.err("bad \\u escape"))?;
                                 // Surrogate pairs are not needed for A1
@@ -554,6 +559,7 @@ mod tests {
             "{\"msg\":\"KpiSample\",\"t_ms\":-1,\"bs_power_mw\":2}", // negative u64
             "{\"msg\":\"KpiSample\",\"t_ms\":1,\"bs_power_mw\":2} x", // trailing data
             "{\"msg\":\"Feedback\",\"policy_id\":\"a\",\"status\":\"Odd\"}",
+            "{\"msg\":\"DeletePolicy\",\"policy_id\":\"\\u+041\"}", // signed \u escape
         ] {
             let r = A1Message::from_json(bad);
             assert!(
@@ -593,5 +599,126 @@ mod tests {
         assert!(!RadioPolicy { airtime: 0.0, max_mcs: 5 }.is_valid());
         assert!(!RadioPolicy { airtime: 1.2, max_mcs: 5 }.is_valid());
         assert!(!RadioPolicy { airtime: 0.5, max_mcs: 29 }.is_valid());
+    }
+
+    /// No-panic, typed-error properties of the A1 decoder over untrusted
+    /// text: every input yields a message or an [`OranError::Codec`].
+    mod a1_json_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Valid documents covering every variant, escapes and a `null`.
+        fn seeds() -> Vec<String> {
+            [
+                A1Message::PutPolicy {
+                    policy_id: PolicyId("edgebol-0".into()),
+                    policy_type: A1_POLICY_TYPE_RADIO,
+                    policy: RadioPolicy { airtime: 0.35, max_mcs: 17 },
+                },
+                A1Message::PutPolicy {
+                    policy_id: PolicyId("n\u{e9}\u{1}".into()),
+                    policy_type: 7,
+                    policy: RadioPolicy { airtime: f64::NAN, max_mcs: 0 },
+                },
+                A1Message::DeletePolicy { policy_id: PolicyId("we\"ird\\id\n".into()) },
+                A1Message::Feedback {
+                    policy_id: PolicyId("a".into()),
+                    status: PolicyStatus::Rejected,
+                },
+                A1Message::KpiSample { t_ms: u64::MAX, bs_power_mw: 5_250 },
+            ]
+            .iter()
+            .map(A1Message::to_json)
+            .collect()
+        }
+
+        /// Any character, with JSON's structural characters, escapes,
+        /// digits, control characters and multi-byte UTF-8 over-represented.
+        fn json_char() -> impl Strategy<Value = char> {
+            let from = |c: u32| char::from_u32(c).expect("a scalar value");
+            prop_oneof![
+                (0x20u32..0x7f).prop_map(from),
+                (0u32..0x20).prop_map(from),
+                (0x80u32..0xd800).prop_map(from),
+                Just('{'),
+                Just('}'),
+                Just('"'),
+                Just('\\'),
+                Just(':'),
+                Just(','),
+                Just('u'),
+                Just('-'),
+                Just('.'),
+                Just('e'),
+                Just('0'),
+                Just('9'),
+                Just('\u{1f600}'),
+            ]
+        }
+
+        fn json_text(max: usize) -> impl Strategy<Value = String> {
+            proptest::collection::vec(json_char(), 0..max)
+                .prop_map(|chars| chars.into_iter().collect())
+        }
+
+        /// Both decoders on `s`: no panic, and a typed outcome. A decoded
+        /// message must survive its own round trip.
+        fn check(s: &str) -> Result<(), String> {
+            match json::parse(s) {
+                Ok(_) | Err(OranError::Codec(_)) => {}
+                Err(other) => return Err(format!("json::parse: untyped {other:?} on {s:?}")),
+            }
+            match A1Message::from_json(s) {
+                Ok(msg) => {
+                    let wire = msg.to_json();
+                    let again = A1Message::from_json(&wire).map(|m| m.to_json());
+                    prop_assert!(
+                        again.as_ref().ok() == Some(&wire),
+                        "{s:?} decoded to {msg:?}, which does not round-trip: {again:?}"
+                    );
+                }
+                Err(OranError::Codec(_)) => {}
+                Err(other) => return Err(format!("from_json: untyped {other:?} on {s:?}")),
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn the_seed_documents_decode() {
+            for doc in seeds() {
+                assert!(A1Message::from_json(&doc).is_ok(), "{doc}");
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_text_never_panics(s in json_text(200)) {
+                check(&s)?;
+            }
+
+            #[test]
+            fn arbitrary_objects_never_panic(s in json_text(200)) {
+                check(&format!("{{{s}}}"))?;
+            }
+
+            #[test]
+            fn mutated_documents_never_panic(
+                which in 0usize..5,
+                edits in proptest::collection::vec((0.0f64..1.0, any::<u8>()), 1..6),
+                tail in json_text(8),
+            ) {
+                let mut bytes = seeds()[which].clone().into_bytes();
+                for (at, byte) in edits {
+                    let i = ((bytes.len() - 1) as f64 * at) as usize;
+                    bytes[i] = byte;
+                }
+                let mut doc = String::from_utf8_lossy(&bytes).into_owned();
+                doc.push_str(&tail);
+                // Every prefix too: a truncated document is a typed error.
+                for cut in (0..=doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+                    check(&doc[..cut])?;
+                }
+            }
+        }
     }
 }

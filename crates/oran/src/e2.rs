@@ -273,4 +273,132 @@ mod tests {
         assert_eq!(E2Codec::decode(&mut buf).unwrap(), Some(E2Message::ControlAck));
         assert_eq!(E2Codec::decode(&mut buf).unwrap(), None);
     }
+
+    /// No-panic, typed-error properties of the E2 decoder over untrusted
+    /// bytes, fed whole and split at every point: each decode yields a
+    /// message, `Ok(None)` for an incomplete frame, or a typed
+    /// [`OranError::Codec`] / [`OranError::Framing`], and the outcome
+    /// does not depend on how the bytes arrived.
+    mod e2_decode_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What one decode call produced; errors by kind.
+        #[derive(Debug, PartialEq)]
+        enum Outcome {
+            Message(E2Message),
+            Codec,
+            Framing,
+        }
+
+        /// Decodes until the buffer runs dry or an error stops the
+        /// stream, checking that `Ok(None)` only ever means "incomplete".
+        fn drain(buf: &mut BytesMut, out: &mut Vec<Outcome>) -> Result<bool, String> {
+            loop {
+                match E2Codec::decode(buf) {
+                    Ok(Some(msg)) => out.push(Outcome::Message(msg)),
+                    Ok(None) => {
+                        let declared = buf
+                            .get(..4)
+                            .map(|h| u32::from_be_bytes([h[0], h[1], h[2], h[3]]) as usize);
+                        prop_assert!(
+                            declared.is_none_or(|len| buf.len() < 4 + len),
+                            "Ok(None) with a complete frame buffered: {:?}",
+                            &buf[..]
+                        );
+                        return Ok(false);
+                    }
+                    Err(OranError::Codec(_)) => {
+                        out.push(Outcome::Codec);
+                        return Ok(true);
+                    }
+                    Err(OranError::Framing(_)) => {
+                        out.push(Outcome::Framing);
+                        return Ok(true);
+                    }
+                    Err(other) => return Err(format!("untyped {other:?} on {:?}", &buf[..])),
+                }
+            }
+        }
+
+        fn buffer(bytes: &[u8]) -> BytesMut {
+            let mut buf = BytesMut::new();
+            buf.extend_from_slice(bytes);
+            buf
+        }
+
+        /// Feeds `bytes` whole, then split at every point, and requires
+        /// the same outcomes every time.
+        fn check(bytes: &[u8]) -> Result<(), String> {
+            let mut whole = Vec::new();
+            drain(&mut buffer(bytes), &mut whole)?;
+            for cut in 0..=bytes.len() {
+                let mut split = Vec::new();
+                let mut buf = buffer(&bytes[..cut]);
+                if !drain(&mut buf, &mut split)? {
+                    buf.extend_from_slice(&bytes[cut..]);
+                    drain(&mut buf, &mut split)?;
+                }
+                prop_assert_eq!(&split, &whole, "split at {} of {:?}", cut, bytes);
+            }
+            Ok(())
+        }
+
+        /// Frames with a plausible header: a length within a few bytes of
+        /// the body's, a tag near the known range, an arbitrary body.
+        fn framed() -> impl Strategy<Value = Vec<u8>> {
+            let frame = (0u8..8, proptest::collection::vec(any::<u8>(), 0..24), 0usize..5)
+                .prop_map(|(tag, body, skew)| {
+                    let len = (body.len() + 1 + skew).saturating_sub(2) as u32;
+                    let mut bytes = len.to_be_bytes().to_vec();
+                    bytes.push(tag);
+                    bytes.extend_from_slice(&body);
+                    bytes
+                });
+            proptest::collection::vec(frame, 1..4).prop_map(|frames| frames.concat())
+        }
+
+        fn valid_stream() -> Vec<u8> {
+            let mut buf = BytesMut::new();
+            for m in all_messages() {
+                E2Codec::encode(&m, &mut buf);
+            }
+            buf.to_vec()
+        }
+
+        #[test]
+        fn the_valid_stream_decodes_at_every_split() {
+            let want: Vec<Outcome> = all_messages().into_iter().map(Outcome::Message).collect();
+            let mut got = Vec::new();
+            drain(&mut buffer(&valid_stream()), &mut got).unwrap();
+            assert_eq!(got, want);
+            check(&valid_stream()).unwrap();
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(
+                bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn plausible_frames_never_panic(bytes in framed()) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn mutated_streams_never_panic(
+                edits in proptest::collection::vec((0.0f64..1.0, any::<u8>()), 1..6),
+            ) {
+                let mut bytes = valid_stream();
+                for (at, byte) in edits {
+                    let i = ((bytes.len() - 1) as f64 * at) as usize;
+                    bytes[i] = byte;
+                }
+                check(&bytes)?;
+            }
+        }
+    }
 }
