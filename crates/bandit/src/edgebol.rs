@@ -77,11 +77,10 @@ pub struct EdgeBolConfig {
     pub fit_hyperparams: bool,
     /// Sliding-window cap on retained observations (None = keep all).
     pub max_observations: Option<usize>,
-    /// Window-eviction strategy override. `None` defers to the
-    /// `EDGEBOL_GP_EVICT` environment knob (default: the `O(W^2)`
+    /// Window-eviction strategy of the three GPs (default: the `O(W^2)`
     /// delete-row downdate); the equivalence tests pin both strategies
     /// explicitly to compare them in one process.
-    pub gp_evict: Option<EvictStrategy>,
+    pub gp_evict: EvictStrategy,
     /// Candidate subsample size per period (None = full grid).
     pub candidate_subsample: Option<usize>,
     /// Acquisition rule (EdgeBOL: `ConstrainedLcb`).
@@ -115,7 +114,7 @@ impl EdgeBolConfig {
             s0_threshold: 0.8,
             fit_hyperparams: true,
             max_observations: Some(800),
-            gp_evict: None,
+            gp_evict: EvictStrategy::Downdate,
             candidate_subsample: Some(2048),
             acquisition: Acquisition::ConstrainedLcb,
             default_lengthscale: 0.4,
@@ -545,10 +544,7 @@ impl EdgeBol {
             if let Some(cap) = self.cfg.max_observations {
                 gp = gp.with_max_observations(cap);
             }
-            if let Some(strategy) = self.cfg.gp_evict {
-                gp = gp.with_evict_strategy(strategy);
-            }
-            gp
+            gp.with_evict_strategy(self.cfg.gp_evict)
         });
         // Replay warm-up observations.
         for (z, y) in &self.warmup_data {
@@ -738,12 +734,10 @@ impl EdgeBol {
         // stored (frozen) hyperparameters — never re-fit on restore.
         let mut gps_vec = Vec::with_capacity(3);
         for (kind, signal_var, ls, noise) in kernel_params {
-            let mut gp = GaussianProcess::new(Kernel::new(kind, signal_var, ls), noise);
+            let mut gp = GaussianProcess::new(Kernel::new(kind, signal_var, ls), noise)
+                .with_evict_strategy(self.cfg.gp_evict);
             if let Some(cap) = self.cfg.max_observations {
                 gp = gp.with_max_observations(cap);
-            }
-            if let Some(strategy) = self.cfg.gp_evict {
-                gp = gp.with_evict_strategy(strategy);
             }
             gps_vec.push(gp);
         }

@@ -55,14 +55,17 @@ impl ControlGrid {
     /// Panics if `idx >= self.len()`.
     pub fn coords(&self, idx: usize) -> Vec<f64> {
         assert!(idx < self.len(), "grid index out of range");
+        self.unit_coords(idx).collect()
+    }
+
+    /// [`ControlGrid::coords`] without the allocation.
+    fn unit_coords(&self, idx: usize) -> impl Iterator<Item = f64> + '_ {
         let mut rem = idx;
-        let mut out = vec![0.0; self.dims];
-        for c in out.iter_mut() {
+        (0..self.dims).map(move |_| {
             let level = rem % self.levels;
             rem /= self.levels;
-            *c = level as f64 / (self.levels - 1) as f64;
-        }
-        out
+            level as f64 / (self.levels - 1) as f64
+        })
     }
 
     /// Flat index of the grid point nearest to arbitrary unit coordinates.
@@ -92,7 +95,7 @@ impl ControlGrid {
     /// (max-resource controls are delay-minimal, hence feasible whenever
     /// the problem is feasible at all).
     pub fn corner_box(&self, threshold: f64) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.coords(i).iter().all(|&c| c >= threshold)).collect()
+        (0..self.len()).filter(|&i| self.unit_coords(i).all(|c| c >= threshold)).collect()
     }
 
     /// One-step axis neighbours of a grid point (up to `2 * dims`).

@@ -22,9 +22,9 @@
 //! | `EDGEBOL_CHAOS`       | [`chaos`]       | `key=value,...` fault spec     |
 //! | `EDGEBOL_FALLBACK`    | [`fallback`]    | `sticky` (default) / `off`     |
 //! | `EDGEBOL_TRANSPORT`   | [`transport`]   | `poll` (default) / `reactor`   |
+//! | `EDGEBOL_REACTOR_BACKEND` | [`reactor_backend`] | `epoll` (Linux default) / `sweep` |
 //! | `EDGEBOL_OPS`         | [`ops_addr`]    | `<ip>:<port>` to serve ops on  |
 //! | `EDGEBOL_FLIGHT_DIR`  | [`flight_dir`]  | directory for crash dumps      |
-//! | `EDGEBOL_GP_EVICT`    | `EvictStrategy::from_env` (edgebol-gp) | `downdate` (default) / `rebuild` |
 //! | `EDGEBOL_REPS` etc.   | [`usize_knob`]  | non-negative integer           |
 //! | `EDGEBOL_FLEET_SLICES` | [`fleet_slices`] | comma list of fleet sizes     |
 //! | `EDGEBOL_FLEET_PERIODS` | [`fleet_periods`] | periods each slice runs     |
@@ -38,13 +38,13 @@
 //! | `EDGEBOL_SOAK_SECONDS` | [`soak_seconds`] | soak wall-clock budget (0 = one bounded pass) |
 //! | `EDGEBOL_SOAK_SLICES` | [`soak_slices`] | fleet size per soak pass       |
 //!
-//! (`EDGEBOL_GP_EVICT` is parsed by `edgebol_gp::EvictStrategy` rather
-//! than here — the GP layer cannot depend on the bench crate — but
-//! follows the same fail-fast convention. The `perf_gate` bin's
-//! `EDGEBOL_GATE_*` bounds go through [`usize_knob`].)
+//! No library crate reads the environment: the harness, the bench
+//! binaries and the root integration tests read knobs here and pass
+//! the values in as arguments. (The `perf_gate` bin's `EDGEBOL_GATE_*`
+//! bounds go through [`usize_knob`].)
 
 use crate::MetricsMode;
-use edgebol_oran::{ChaosConfig, FallbackMode, TransportKind};
+use edgebol_oran::{ChaosConfig, FallbackMode, ReactorBackend, TransportKind};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
@@ -127,14 +127,15 @@ pub fn parse_chaos(v: &str) -> Result<ChaosConfig, String> {
     ChaosConfig::from_spec(v)
 }
 
-/// `EDGEBOL_CHAOS`: the deterministic fault schedule, if any.
+/// `EDGEBOL_CHAOS`: the deterministic fault schedule, if any, with the
+/// spec it was parsed from (so the harness can echo what it armed).
 ///
 /// # Panics
 /// On a malformed spec.
-pub fn chaos() -> Option<ChaosConfig> {
+pub fn chaos() -> Option<(String, ChaosConfig)> {
     let v = raw("EDGEBOL_CHAOS")?;
     match parse_chaos(&v) {
-        Ok(c) => Some(c),
+        Ok(c) => Some((v, c)),
         Err(e) => invalid("EDGEBOL_CHAOS", &v, &format!("a fault spec ({e})")),
     }
 }
@@ -177,9 +178,8 @@ pub fn parse_transport(v: &str) -> Result<TransportKind, String> {
 }
 
 /// `EDGEBOL_TRANSPORT`: which transport carries the A1/E2 links
-/// (default [`TransportKind::Poll`]). The orchestrator reads the same
-/// knob internally via [`TransportKind::from_env`]; this accessor
-/// exists so the harness can report and validate it uniformly.
+/// (default [`TransportKind::Poll`]). The harness and the root
+/// integration tests pass it to `Orchestrator::new_with_transport`.
 ///
 /// # Panics
 /// On a malformed value.
@@ -189,6 +189,37 @@ pub fn transport() -> TransportKind {
         Some(v) => match parse_transport(&v) {
             Ok(k) => k,
             Err(e) => invalid("EDGEBOL_TRANSPORT", &v, &e),
+        },
+    }
+}
+
+/// Parses an `EDGEBOL_REACTOR_BACKEND`-style readiness backend.
+///
+/// # Errors
+/// A message naming the expectation when `v` is neither `epoll` nor
+/// `sweep`.
+pub fn parse_reactor_backend(v: &str) -> Result<ReactorBackend, String> {
+    match v.trim() {
+        "" => Ok(ReactorBackend::default()),
+        "epoll" => Ok(ReactorBackend::Epoll),
+        "sweep" => Ok(ReactorBackend::Sweep),
+        _ => Err("epoll or sweep".into()),
+    }
+}
+
+/// `EDGEBOL_REACTOR_BACKEND`: the readiness backend a `RicServer` binds
+/// on (default [`ReactorBackend::default`]: epoll on Linux, the
+/// nonblocking sweep elsewhere), so CI can exercise the portable path
+/// on Linux too.
+///
+/// # Panics
+/// On a malformed value.
+pub fn reactor_backend() -> ReactorBackend {
+    match raw("EDGEBOL_REACTOR_BACKEND") {
+        None => ReactorBackend::default(),
+        Some(v) => match parse_reactor_backend(&v) {
+            Ok(b) => b,
+            Err(e) => invalid("EDGEBOL_REACTOR_BACKEND", &v, &e),
         },
     }
 }
@@ -510,6 +541,10 @@ mod tests {
         assert_eq!(parse_transport("reactor"), Ok(TransportKind::Reactor));
         assert_eq!(parse_transport(""), Ok(TransportKind::Poll));
         assert!(parse_transport("udp").is_err());
+        assert_eq!(parse_reactor_backend("epoll"), Ok(ReactorBackend::Epoll));
+        assert_eq!(parse_reactor_backend(" sweep "), Ok(ReactorBackend::Sweep));
+        assert_eq!(parse_reactor_backend(""), Ok(ReactorBackend::default()));
+        assert!(parse_reactor_backend("kqueue").is_err());
     }
 
     #[test]

@@ -105,11 +105,8 @@ pub fn chaos_from_env() -> Option<&'static ChaosConfig> {
     static CONFIG: OnceLock<Option<ChaosConfig>> = OnceLock::new();
     CONFIG
         .get_or_init(|| {
-            let cfg = env::chaos()?;
-            eprintln!(
-                "[edgebol-bench] chaos enabled: {}",
-                std::env::var("EDGEBOL_CHAOS").unwrap_or_default()
-            );
+            let (spec, cfg) = env::chaos()?;
+            eprintln!("[edgebol-bench] chaos enabled: {spec}");
             Some(cfg)
         })
         .as_ref()
@@ -138,20 +135,19 @@ pub fn recovery_from_env() -> &'static RecoveryPolicy {
 }
 
 /// The transport requested via the `EDGEBOL_TRANSPORT` environment
-/// variable: empty or `poll` → the in-process poll transport, `reactor`
-/// → reactor-managed framed TCP over loopback. The orchestrator itself
-/// honors the knob (its constructors resolve
-/// [`TransportKind::from_env`]); this helper exists so the harness can
-/// *report* the mode once per process, the way [`chaos_from_env`]
-/// reports an armed fault schedule — a comparison run whose transport
-/// differs silently would be a footgun.
+/// variable ([`env::transport`]): empty or `poll` → the in-process poll
+/// transport, `reactor` → reactor-managed framed TCP over loopback.
+/// Every harness run passes it to the orchestrator, and it is reported
+/// once per process, the way [`chaos_from_env`] reports an armed fault
+/// schedule — a comparison run whose transport differs silently would
+/// be a footgun.
 ///
 /// # Panics
 /// Panics (once) on a malformed value, mirroring the other knobs.
 pub fn transport_from_env() -> TransportKind {
     static KIND: OnceLock<TransportKind> = OnceLock::new();
     *KIND.get_or_init(|| {
-        let kind = TransportKind::from_env();
+        let kind = env::transport();
         if kind == TransportKind::Reactor {
             eprintln!("[edgebol-bench] transport: reactor (nonblocking framed TCP over loopback)");
         }
@@ -517,13 +513,17 @@ pub fn try_run_once_with_chaos(
     schedule: Vec<(usize, f64, f64)>,
     chaos: ChaosConfig,
 ) -> Result<Trace, OrchestratorError> {
-    // Resolve (and report, once) the transport before construction: the
-    // orchestrator reads the same knob internally.
-    let _ = transport_from_env();
     let ops_up = ops_server().is_some();
-    let mut orch = Orchestrator::new_instrumented(env, agent, spec, chaos, metrics().clone())?
-        .with_constraint_schedule(schedule)
-        .with_recovery(*recovery_from_env());
+    let mut orch = Orchestrator::new_with_transport(
+        env,
+        agent,
+        spec,
+        chaos,
+        metrics().clone(),
+        transport_from_env(),
+    )?
+    .with_constraint_schedule(schedule)
+    .with_recovery(*recovery_from_env());
     if journal_wanted() {
         orch = orch.with_journal(journal().clone());
     }

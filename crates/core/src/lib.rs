@@ -28,14 +28,24 @@
 //! use edgebol_core::agent::EdgeBolAgent;
 //! use edgebol_core::orchestrator::Orchestrator;
 //! use edgebol_core::problem::ProblemSpec;
+//! use edgebol_metrics::Registry;
+//! use edgebol_oran::{ChaosConfig, TransportKind};
 //! use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 //!
 //! // delta1 = 1, delta2 = 8, d_max = 0.4 s, rho_min = 0.5 (paper §6.2).
 //! let spec = ProblemSpec::new(1.0, 8.0, 0.4, 0.5);
 //! let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 7);
 //! let agent = EdgeBolAgent::quick_for_tests(&spec, 7);
-//! let mut orch = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-//!     .expect("in-process control plane");
+//! // Fault-free, unobserved, over the in-process transport.
+//! let mut orch = Orchestrator::new_with_transport(
+//!     Box::new(env),
+//!     Box::new(agent),
+//!     spec,
+//!     ChaosConfig::disabled(),
+//!     Registry::disabled(),
+//!     TransportKind::Poll,
+//! )
+//! .expect("in-process control plane");
 //! let trace = orch.try_run(20).expect("control plane stayed up");
 //! assert_eq!(trace.len(), 20);
 //! ```

@@ -53,7 +53,7 @@
 //!   supervisor machinery.
 //!
 //! The failure model is exercised by the deterministic chaos layer
-//! (`edgebol_oran::chaos`): [`Orchestrator::new_with_chaos`] wraps the
+//! (`edgebol_oran::chaos`): [`Orchestrator::new_with_transport`] wraps the
 //! near-RT RIC's two endpoints in fault-injecting decorators — which
 //! covers all four lanes, since every A1/E2 message transits the xApp —
 //! and the per-stage counters ([`Orchestrator::degraded_by_stage`]) plus
@@ -66,8 +66,8 @@ use crate::trace::{PeriodRecord, Trace};
 use edgebol_metrics::{Counter, Histogram, Registry};
 use edgebol_oran::{
     duplex_pair, AnyLink, ChaosConfig, ChaosEndpoint, ChaosPlan, CircuitState, E2Node, FaultLedger,
-    KpiReport, LinkId, NearRtRic, NonRtRic, OranError, RadioPolicy, Reactor, RecoveryAction,
-    RecoveryPolicy, RicEvent, Supervisor, TransportKind,
+    KpiReport, LinkId, NearRtRic, NonRtRic, OranError, RadioPolicy, Reactor, ReactorBackend,
+    RecoveryAction, RecoveryPolicy, RicEvent, Supervisor, TransportKind,
 };
 use edgebol_ran::Mcs;
 use edgebol_testbed::{ControlInput, Environment};
@@ -277,7 +277,7 @@ pub struct Orchestrator {
     node: E2Node<AnyLink>,
     /// Which transport carries the A1/E2 links of this instance.
     transport: TransportKind,
-    /// The fault schedule in force (disarmed and empty for [`Orchestrator::new`]).
+    /// The fault schedule in force (disarmed and empty for [`ChaosConfig::disabled`]).
     chaos: ChaosPlan,
     /// The radio policy most recently enforced at the E2 node (written by
     /// the node's apply hook, drained once per deployment).
@@ -318,101 +318,28 @@ pub struct Orchestrator {
 }
 
 impl Orchestrator {
-    /// Wires the agent, environment and O-RAN chain together.
+    /// Wires the agent, environment and O-RAN chain together: builds the
+    /// rApp → A1 → xApp → E2 → node chain over `transport`, wraps the
+    /// xApp's two links in the `chaos` fault schedule, and completes the
+    /// KPI-subscription handshake before arming the plan, so bootstrap
+    /// traffic is never faulted and the first faultable frame belongs to
+    /// period 0. [`ChaosConfig::disabled`] runs fault-free.
     ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when the KPI-subscription
-    /// handshake fails — impossible for the in-process transport built
-    /// here, but the setup path is fallible like the rest of the loop.
-    pub fn new(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-    ) -> Result<Self, OrchestratorError> {
-        Self::new_with_chaos(env, agent, spec, ChaosConfig::disabled())
-    }
-
-    /// Like [`Orchestrator::new`], but runs the control plane under the
-    /// given deterministic fault schedule. The plan is armed only after
-    /// the KPI-subscription handshake completes, so bootstrap traffic is
-    /// never faulted and the first faultable frame belongs to period 0.
-    ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when the (pre-chaos)
-    /// subscription handshake fails.
-    pub fn new_with_chaos(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-        chaos: ChaosConfig,
-    ) -> Result<Self, OrchestratorError> {
-        Self::new_instrumented(env, agent, spec, chaos, Registry::disabled())
-    }
-
-    /// Like [`Orchestrator::new_with_chaos`], but records observability
-    /// metrics into `metrics`: per-period step latency
+    /// Observability metrics land in `metrics`: per-period step latency
     /// (`edgebol_core_step_latency_seconds`), per-stage degraded and
     /// control-plane-error counters (mirroring
     /// [`Orchestrator::degraded_by_stage`]), stale KPI samples, and —
     /// through the chaos plan — per-link frame/byte traffic plus
-    /// per-kind fault counts. Passing [`Registry::disabled`] records
-    /// nothing and is equivalent to [`Orchestrator::new_with_chaos`].
+    /// per-kind fault counts. [`Registry::disabled`] records nothing.
     ///
-    /// The transport is taken from the `EDGEBOL_TRANSPORT` env knob
-    /// ([`TransportKind::from_env`]), so the whole existing test and
-    /// bench surface can be rerun over the reactor without code changes;
-    /// [`Orchestrator::new_with_transport`] pins it explicitly.
-    ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when the (pre-chaos)
-    /// subscription handshake fails.
-    pub fn new_instrumented(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-        chaos: ChaosConfig,
-        metrics: Registry,
-    ) -> Result<Self, OrchestratorError> {
-        Self::new_with_transport(env, agent, spec, chaos, metrics, TransportKind::from_env())
-    }
-
-    /// An orchestrator whose A1/E2 links ride the non-blocking reactor
-    /// transport (framed TCP over loopback, multiplexed by a
-    /// [`Reactor`]) instead of the in-process poll transport — the
-    /// fleet-scale construction path. Equivalent to
-    /// [`Orchestrator::new_with_transport`] with
-    /// [`TransportKind::Reactor`], no chaos, no metrics.
+    /// Because the chaos op-clock counts operations *above* the transport
+    /// and the reactor's paired links deliver every sent frame before
+    /// reporting empty, a fixed-seed episode produces f64-bit-identical
+    /// traces on both transports (pinned by `tests/reactor.rs`).
     ///
     /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when reactor setup (sockets,
-    /// readiness source) or the KPI-subscription handshake fails.
-    pub fn new_with_reactor(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-    ) -> Result<Self, OrchestratorError> {
-        Self::new_with_transport(
-            env,
-            agent,
-            spec,
-            ChaosConfig::disabled(),
-            Registry::disabled(),
-            TransportKind::Reactor,
-        )
-    }
-
-    /// The general constructor: every other `new_*` resolves to this.
-    /// Builds the rApp → A1 → xApp → E2 → node chain over `transport`,
-    /// wraps the xApp's two links in the chaos plan, and completes the
-    /// KPI-subscription handshake before arming the plan. Because the
-    /// chaos op-clock counts operations *above* the transport and the
-    /// reactor's paired links deliver every sent frame before reporting
-    /// empty, a fixed-seed episode produces f64-bit-identical traces on
-    /// both transports (pinned by `tests/reactor.rs`).
-    ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when transport setup or the
-    /// (pre-chaos) subscription handshake fails.
+    /// [`OrchestratorError::ControlPlane`] when transport setup (sockets,
+    /// readiness source) or the (pre-chaos) subscription handshake fails.
     pub fn new_with_transport(
         env: Box<dyn Environment>,
         agent: Box<dyn Agent>,
@@ -431,7 +358,8 @@ impl Orchestrator {
             TransportKind::Reactor => {
                 let r = at(
                     "reactor setup",
-                    Reactor::new_instrumented(metrics.clone()).map_err(OranError::from),
+                    Reactor::new(ReactorBackend::default(), metrics.clone())
+                        .map_err(OranError::from),
                 )?;
                 let (a1_up, a1_down) = at("reactor pair (A1)", r.pair().map_err(OranError::from))?;
                 let (e2_up, e2_down) = at("reactor pair (E2)", r.pair().map_err(OranError::from))?;
@@ -579,7 +507,7 @@ impl Orchestrator {
     }
 
     /// The ledger of faults the chaos schedule has injected so far
-    /// (empty for an orchestrator built with [`Orchestrator::new`]).
+    /// (empty for an orchestrator built with [`ChaosConfig::disabled`]).
     pub fn fault_ledger(&self) -> FaultLedger {
         self.chaos.ledger()
     }
@@ -597,8 +525,8 @@ impl Orchestrator {
         self.last_enforced
     }
 
-    /// The registry this orchestrator records into (disabled unless
-    /// built with [`Orchestrator::new_instrumented`]).
+    /// The registry this orchestrator records into (the `metrics`
+    /// argument of [`Orchestrator::new_with_transport`]).
     pub fn metrics(&self) -> &Registry {
         &self.metrics.registry
     }
@@ -1236,11 +1164,27 @@ mod tests {
     use edgebol_oran::{FallbackMode, LaneConfig};
     use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 
-    fn orch(seed: u64) -> Orchestrator {
+    fn build(seed: u64, chaos: ChaosConfig, transport: TransportKind) -> Orchestrator {
         let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
         let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), seed);
         let agent = EdgeBolAgent::quick_for_tests(&spec, seed);
-        Orchestrator::new(Box::new(env), Box::new(agent), spec).expect("in-process setup")
+        Orchestrator::new_with_transport(
+            Box::new(env),
+            Box::new(agent),
+            spec,
+            chaos,
+            Registry::disabled(),
+            transport,
+        )
+        .expect("control-plane setup")
+    }
+
+    fn orch(seed: u64) -> Orchestrator {
+        build(seed, ChaosConfig::disabled(), TransportKind::Poll)
+    }
+
+    fn chaos_orch(seed: u64, chaos: ChaosConfig) -> Orchestrator {
+        build(seed, chaos, TransportKind::Poll)
     }
 
     #[test]
@@ -1293,11 +1237,7 @@ mod tests {
 
     #[test]
     fn reactor_transport_runs_the_same_loop() {
-        let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
-        let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 1);
-        let agent = EdgeBolAgent::quick_for_tests(&spec, 1);
-        let mut o = Orchestrator::new_with_reactor(Box::new(env), Box::new(agent), spec)
-            .expect("reactor setup");
+        let mut o = build(1, ChaosConfig::disabled(), TransportKind::Reactor);
         assert_eq!(o.transport(), TransportKind::Reactor);
         let trace = o.try_run(10).unwrap();
         assert_eq!(trace.len(), 10);
@@ -1386,17 +1326,7 @@ mod tests {
 
     #[test]
     fn chaotic_runs_count_exactly_the_degrading_faults() {
-        use edgebol_oran::ChaosConfig;
-        let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
-        let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 7);
-        let agent = EdgeBolAgent::quick_for_tests(&spec, 7);
-        let mut o = Orchestrator::new_with_chaos(
-            Box::new(env),
-            Box::new(agent),
-            spec,
-            ChaosConfig::drop_corrupt(7, 0.2),
-        )
-        .expect("in-process setup");
+        let mut o = chaos_orch(7, ChaosConfig::drop_corrupt(7, 0.2));
         let trace = o.try_run(25).expect("drop/corrupt faults are all recoverable");
         assert_eq!(trace.len(), 25);
         let ledger = o.fault_ledger();
@@ -1414,14 +1344,6 @@ mod tests {
                 .map(|&(_, p)| p.max_mcs)
                 .or(o.last_enforced().map(|p| p.max_mcs))
         );
-    }
-
-    fn chaos_orch(seed: u64, chaos: ChaosConfig) -> Orchestrator {
-        let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
-        let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), seed);
-        let agent = EdgeBolAgent::quick_for_tests(&spec, seed);
-        Orchestrator::new_with_chaos(Box::new(env), Box::new(agent), spec, chaos)
-            .expect("in-process setup")
     }
 
     #[test]

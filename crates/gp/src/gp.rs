@@ -4,53 +4,22 @@ use crate::{GpError, Kernel};
 use edgebol_linalg::{solve_lower_strided, vecops, Cholesky, Mat, SOLVE_TILE};
 
 /// How [`GaussianProcess::observe`] makes room when the sliding window is
-/// full.
-///
-/// The default comes from the `EDGEBOL_GP_EVICT` environment knob
-/// (`downdate` when unset), read once per GP construction so a process can
+/// full. [`GaussianProcess::new`] starts on the default, `Downdate`;
+/// [`GaussianProcess::with_evict_strategy`] picks per GP, so a process can
 /// host GPs with different strategies (the equivalence tests rely on
 /// this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictStrategy {
     /// `O(W^2)` delete-row Cholesky downdate ([`Cholesky::delete_row`]).
     /// Falls back to a jittered refactorization if the downdate reports
     /// loss of positive-definiteness (possible only for degenerate or
     /// non-finite factors).
+    #[default]
     Downdate,
     /// `O(W^3)` from-scratch refactorization of the shrunken window — the
-    /// pre-downdate behaviour, kept as an escape hatch
-    /// (`EDGEBOL_GP_EVICT=rebuild`) and as the oracle the equivalence
-    /// battery compares the fast path against.
+    /// pre-downdate behaviour, kept as the oracle the equivalence battery
+    /// compares the fast path against.
     Rebuild,
-}
-
-impl EvictStrategy {
-    /// Parses an `EDGEBOL_GP_EVICT` value.
-    fn parse(v: &str) -> Result<Self, &'static str> {
-        match v {
-            "downdate" => Ok(EvictStrategy::Downdate),
-            "rebuild" => Ok(EvictStrategy::Rebuild),
-            _ => Err("\"downdate\" or \"rebuild\""),
-        }
-    }
-
-    /// Reads `EDGEBOL_GP_EVICT`: [`EvictStrategy::Downdate`] when unset or
-    /// blank.
-    ///
-    /// # Panics
-    /// Panics on a malformed value, following the workspace-wide knob
-    /// convention (`invalid EDGEBOL_<NAME> value "...": expected <what>`).
-    pub fn from_env() -> Self {
-        match std::env::var("EDGEBOL_GP_EVICT") {
-            Ok(v) if !v.trim().is_empty() => match Self::parse(v.trim()) {
-                Ok(s) => s,
-                Err(expected) => {
-                    panic!("invalid EDGEBOL_GP_EVICT value {v:?}: expected {expected}")
-                }
-            },
-            _ => EvictStrategy::Downdate,
-        }
-    }
 }
 
 /// Window length × candidate count from which
@@ -136,7 +105,7 @@ impl GaussianProcess {
             alpha_dirty: false,
             y_mean: 0.0,
             max_observations: None,
-            evict: EvictStrategy::from_env(),
+            evict: EvictStrategy::default(),
             #[cfg(test)]
             evict_failpoint: EvictFailpoint::None,
         }
@@ -152,8 +121,8 @@ impl GaussianProcess {
         self
     }
 
-    /// Builder-style: override the eviction strategy chosen by
-    /// [`EvictStrategy::from_env`] at construction.
+    /// Builder-style: override the default eviction strategy
+    /// ([`EvictStrategy::Downdate`]).
     pub fn with_evict_strategy(mut self, strategy: EvictStrategy) -> Self {
         self.evict = strategy;
         self
@@ -726,16 +695,12 @@ mod tests {
     }
 
     #[test]
-    fn evict_strategy_parse_and_default() {
-        assert_eq!(EvictStrategy::parse("downdate"), Ok(EvictStrategy::Downdate));
-        assert_eq!(EvictStrategy::parse("rebuild"), Ok(EvictStrategy::Rebuild));
-        assert!(EvictStrategy::parse("fast").is_err());
-        assert!(EvictStrategy::parse("").is_err());
-        // Knob unset in the test environment: construction defaults to the
-        // downdate fast path.
-        if std::env::var("EDGEBOL_GP_EVICT").is_err() {
-            assert_eq!(toy_gp().evict_strategy(), EvictStrategy::Downdate);
-        }
+    fn evict_strategy_default_is_downdate() {
+        assert_eq!(EvictStrategy::default(), EvictStrategy::Downdate);
+        // Construction starts on the downdate fast path; the builder wins.
+        assert_eq!(toy_gp().evict_strategy(), EvictStrategy::Downdate);
+        let oracle = toy_gp().with_evict_strategy(EvictStrategy::Rebuild);
+        assert_eq!(oracle.evict_strategy(), EvictStrategy::Rebuild);
     }
 
     /// The downdate and rebuild strategies must agree on the posterior

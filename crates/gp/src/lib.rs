@@ -13,11 +13,12 @@
 //!   Cholesky factorization — `O(T^2)` per added observation instead of
 //!   `O(T^3)` — plus batched prediction over candidate sets and an optional
 //!   sliding observation window for very long runs.
-//! * **Hyperparameter fitting** ([`fit_hyperparams`]): length-scales,
-//!   signal variance and noise variance maximizing the log-marginal
-//!   likelihood via multi-start Nelder–Mead, run once on seed data and then
-//!   frozen, exactly as the paper prescribes ("during execution, the
-//!   hyperparameters shall remain constant").
+//! * **Hyperparameter fitting support**: the log-marginal likelihood
+//!   ([`GaussianProcess::log_marginal_likelihood`]) and a Nelder–Mead
+//!   minimizer ([`nelder_mead`]), which the bandit crate combines into a
+//!   fit run once on warm-up data and then frozen, exactly as the paper
+//!   prescribes ("during execution, the hyperparameters shall remain
+//!   constant").
 //!
 //! # Example
 //!
@@ -40,7 +41,7 @@ mod hyperopt;
 mod kernel;
 
 pub use gp::{EvictStrategy, GaussianProcess, GpSnapshot, PARALLEL_POSTERIOR_WORK};
-pub use hyperopt::{fit_hyperparams, nelder_mead, FitResult, HyperFitConfig, NelderMeadOptions};
+pub use hyperopt::{nelder_mead, NelderMeadOptions};
 pub use kernel::{Kernel, KernelKind};
 
 /// Errors surfaced by the GP layer.

@@ -9,15 +9,18 @@ use std::ops::Range;
 /// Panics if `b.len() != l.dim()`.
 pub fn solve_lower(l: &PackedLower, b: &[f64]) -> Vec<f64> {
     assert_eq!(b.len(), l.dim(), "solve_lower: rhs length mismatch");
-    let n = l.dim();
     let mut x = b.to_vec();
-    for i in 0..n {
-        let row = l.row(i);
-        let mut acc = x[i];
-        for j in 0..i {
-            acc -= row[j] * x[j];
+    for i in 0..x.len() {
+        let (row, diag) = l.row(i).split_at(i);
+        let (solved, rest) = x.split_at_mut(i);
+        let mut acc = rest[0];
+        // Zipped slices carry no per-element bounds check, so LLVM unrolls
+        // the (still strictly ordered) subtraction chain; an indexed loop
+        // here swings by ~20% with where the linker happens to place it.
+        for (r, xj) in row.iter().zip(solved.iter()) {
+            acc -= r * xj;
         }
-        x[i] = acc / row[i];
+        rest[0] = acc / diag[0];
     }
     x
 }

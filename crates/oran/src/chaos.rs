@@ -16,9 +16,6 @@
 //! * [`ChaosEndpoint`] — the decorator over the in-process
 //!   [`Endpoint`], implementing the same [`Link`] contract the RIC
 //!   actors are generic over.
-//! * [`ChaosFramedTcp`] — the same per-frame fault pipeline applied to a
-//!   blocking [`FramedTcp`] stream (send side; the receive side of a TCP
-//!   link is faulted by the peer's decorator).
 //!
 //! # Determinism
 //!
@@ -52,7 +49,7 @@
 
 use crate::a1::A1Message;
 use crate::e2::{tag, E2Codec};
-use crate::transport::{Endpoint, FramedTcp, Link};
+use crate::transport::{Endpoint, Link};
 use crate::OranError;
 use bytes::Bytes;
 use edgebol_metrics::{Counter, Registry};
@@ -381,8 +378,12 @@ impl ChaosConfig {
         for pair in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) =
                 pair.split_once('=').ok_or_else(|| format!("expected key=value, got {pair:?}"))?;
-            let fval =
-                || value.parse::<f64>().map_err(|_| format!("{key}: not a number: {value:?}"));
+            // Rates and the burst multiplier: a NaN, infinite or negative
+            // value would silently act as "never" or "always" at runtime.
+            let fval = || match value.parse::<f64>() {
+                Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+                _ => Err(format!("{key}: not a finite non-negative number: {value:?}")),
+            };
             let uval =
                 || value.parse::<u64>().map_err(|_| format!("{key}: not an integer: {value:?}"));
             match key {
@@ -852,33 +853,6 @@ impl ChaosPlan {
                 .counter_with("edgebol_oran_redelivered_frames_total", &[("link", l)]),
         }
     }
-
-    /// Applies the plan to a framed TCP stream (send-side faults; the
-    /// peer's decorator owns the other direction).
-    pub fn wrap_tcp(&self, inner: FramedTcp, link: LinkId) -> ChaosFramedTcp {
-        let lane_cfg = match link {
-            LinkId::A1 => self.cfg.a1_tx,
-            LinkId::E2 => self.cfg.e2_tx,
-        };
-        let l = link.label();
-        ChaosFramedTcp {
-            inner,
-            link,
-            armed: self.armed.clone(),
-            ledger: self.ledger.clone(),
-            lane: Lane::new(
-                lane_cfg,
-                Direction::Tx,
-                lane_seed(self.cfg.seed, link, Direction::Tx, 1),
-            ),
-            m_tx_frames: self
-                .metrics
-                .counter_with("edgebol_oran_frames_total", &[("dir", "tx"), ("link", l)]),
-            m_tx_bytes: self
-                .metrics
-                .counter_with("edgebol_oran_bytes_total", &[("dir", "tx"), ("link", l)]),
-        }
-    }
 }
 
 /// The fault-injecting decorator over any [`Link`] (the in-process
@@ -1122,96 +1096,12 @@ impl<L: Link> Link for ChaosEndpoint<L> {
     }
 }
 
-/// The fault pipeline applied to a blocking [`FramedTcp`] stream.
-///
-/// Faults apply on `send` (dropping on the blocking receive side would
-/// stall the peer instead of modelling loss); each side of a TCP link
-/// wraps its own transmitter, which together covers both directions.
-#[derive(Debug)]
-pub struct ChaosFramedTcp {
-    inner: FramedTcp,
-    link: LinkId,
-    armed: Arc<AtomicBool>,
-    ledger: FaultLedger,
-    lane: Lane,
-    m_tx_frames: Counter,
-    m_tx_bytes: Counter,
-}
-
-impl ChaosFramedTcp {
-    /// Sends one frame through the fault pipeline.
-    ///
-    /// # Errors
-    /// As [`FramedTcp::send`].
-    pub fn send(&mut self, payload: &[u8]) -> Result<(), OranError> {
-        self.m_tx_frames.inc();
-        self.m_tx_bytes.add(payload.len() as u64);
-        if !self.armed.load(Ordering::SeqCst) {
-            return self.inner.send(payload);
-        }
-        self.lane.op += 1;
-        while let Some(f) = self.lane.pop_due() {
-            self.inner.send(&f)?;
-        }
-        let decision = self.lane.decide();
-        match decision {
-            None | Some(FaultKind::Reorder) | Some(FaultKind::LinkCut) => self.inner.send(payload),
-            Some(FaultKind::Drop) => {
-                self.push_record(FaultKind::Drop, payload, "frame dropped".into());
-                Ok(())
-            }
-            Some(FaultKind::Duplicate) => {
-                self.push_record(FaultKind::Duplicate, payload, "frame sent twice".into());
-                self.inner.send(payload)?;
-                self.inner.send(payload)
-            }
-            Some(FaultKind::CorruptBitFlip) | Some(FaultKind::CorruptTruncate) => {
-                let flip = self.lane.rng.random_bool(0.5);
-                let pos: u64 = self.lane.rng.random();
-                let (mangled, kind, detail) = corrupt_payload(self.link, payload, flip, pos);
-                self.push_record(kind, payload, detail);
-                self.inner.send(&mangled)
-            }
-            Some(FaultKind::Delay) => {
-                let release = self.lane.op + self.lane.cfg.delay_ops.max(1);
-                self.push_record(FaultKind::Delay, payload, format!("held until op {release}"));
-                self.lane.held.push_back((release, Bytes::copy_from_slice(payload)));
-                Ok(())
-            }
-        }
-    }
-
-    /// Receives one frame (blocking, unfaulted — the peer's decorator
-    /// owns this direction).
-    ///
-    /// # Errors
-    /// As [`FramedTcp::recv`].
-    pub fn recv(&mut self) -> Result<Bytes, OranError> {
-        self.inner.recv()
-    }
-
-    fn push_record(&self, kind: FaultKind, payload: &[u8], detail: String) {
-        self.ledger.push(FaultRecord {
-            seq: 0,
-            link: self.link,
-            direction: self.lane.dir,
-            kind,
-            msg: classify(self.link, payload),
-            op: self.lane.op,
-            detail,
-            heals: false,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::a1::{PolicyId, PolicyStatus, RadioPolicy};
     use crate::e2::{E2Message, KpiReport, RAN_FUNC_KPI};
     use crate::transport::duplex_pair;
-    use std::net::TcpListener;
-    use std::thread;
 
     fn armed_pair(cfg: ChaosConfig) -> (Endpoint, ChaosEndpoint, ChaosPlan) {
         let plan = ChaosPlan::new(cfg);
@@ -1454,31 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_framed_tcp_duplicates_deterministically() {
-        let lane = LaneConfig { duplicate: 1.0, ..LaneConfig::off() };
-        let plan = ChaosPlan::new(ChaosConfig::uniform(3, lane));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = FramedTcp::new(stream);
-            let mut got = Vec::new();
-            for _ in 0..4 {
-                got.push(t.recv().unwrap());
-            }
-            got
-        });
-        let client = FramedTcp::connect(&addr.to_string()).unwrap();
-        let mut chaotic = plan.wrap_tcp(client, LinkId::E2);
-        plan.arm();
-        chaotic.send(&frame(0)).unwrap();
-        chaotic.send(&frame(1)).unwrap();
-        let got = server.join().unwrap();
-        assert_eq!(got, vec![frame(0), frame(0), frame(1), frame(1)]);
-        assert_eq!(plan.ledger().count_kind(FaultKind::Duplicate), 2);
-    }
-
-    #[test]
     fn from_spec_parses_the_env_knob() {
         let cfg = ChaosConfig::from_spec("seed=7, rate=0.1, dup=0.05, cut=e2@120").unwrap();
         assert_eq!(cfg.seed, 7);
@@ -1490,6 +1355,9 @@ mod tests {
         assert!(ChaosConfig::from_spec("").unwrap() == ChaosConfig::uniform(1, LaneConfig::off()));
         assert!(ChaosConfig::from_spec("bogus").is_err());
         assert!(ChaosConfig::from_spec("drop=x").is_err());
+        assert!(ChaosConfig::from_spec("drop=nan").is_err());
+        assert!(ChaosConfig::from_spec("rate=inf").is_err());
+        assert!(ChaosConfig::from_spec("burst_mult=-1").is_err());
         assert!(ChaosConfig::from_spec("cut=lte@5").is_err());
     }
 

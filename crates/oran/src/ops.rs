@@ -21,7 +21,7 @@
 //!
 //! [`Snapshot::render_prometheus`]: edgebol_metrics::Snapshot::render_prometheus
 
-use crate::reactor::{HttpHandler, HttpResponse, Reactor, ReactorListener};
+use crate::reactor::{HttpHandler, HttpResponse, Reactor, ReactorBackend, ReactorListener};
 use crate::recovery::CircuitState;
 use edgebol_metrics::Registry;
 use edgebol_trace::{events_to_json, Journal};
@@ -204,7 +204,7 @@ impl OpsServer {
     /// # Errors
     /// An [`io::Error`] from creating the reactor or binding.
     pub fn spawn(addr: &str, state: OpsState) -> io::Result<OpsServer> {
-        let reactor = Reactor::new()?;
+        let reactor = Reactor::new(ReactorBackend::default(), Registry::disabled())?;
         let listener = serve_on(&reactor, addr, state)?;
         let local_addr = listener.local_addr();
         let stop = Arc::new(AtomicBool::new(false));

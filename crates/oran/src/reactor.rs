@@ -52,11 +52,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(pub usize);
 
-/// Readiness backend selection for [`Reactor::with_backend`].
+/// Readiness backend selection for [`Reactor::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReactorBackend {
     /// Level-triggered `epoll` through the thin FFI wrapper — Linux
-    /// only; [`Reactor::with_backend`] reports `Unsupported` elsewhere.
+    /// only; [`Reactor::new`] reports `Unsupported` elsewhere.
     Epoll,
     /// Portable fallback: sweep every registered connection with
     /// nonblocking reads and let `WouldBlock` filter. O(connections) per
@@ -64,29 +64,14 @@ pub enum ReactorBackend {
     Sweep,
 }
 
-impl ReactorBackend {
-    /// The default backend for this platform: epoll on Linux, the
-    /// nonblocking sweep everywhere else. `EDGEBOL_REACTOR_BACKEND`
-    /// (`epoll` | `sweep`) overrides, so CI can exercise the portable
-    /// path on Linux too.
-    ///
-    /// # Panics
-    /// Panics on a malformed `EDGEBOL_REACTOR_BACKEND` value — a
-    /// misspelled knob must not silently select the wrong backend.
-    pub fn from_env() -> Self {
-        match std::env::var("EDGEBOL_REACTOR_BACKEND").as_deref() {
-            Err(_) | Ok("") => {
-                if cfg!(target_os = "linux") {
-                    ReactorBackend::Epoll
-                } else {
-                    ReactorBackend::Sweep
-                }
-            }
-            Ok("epoll") => ReactorBackend::Epoll,
-            Ok("sweep") => ReactorBackend::Sweep,
-            Ok(other) => {
-                panic!("invalid EDGEBOL_REACTOR_BACKEND value {other:?}: expected epoll or sweep")
-            }
+impl Default for ReactorBackend {
+    /// The platform's backend: epoll on Linux, the nonblocking sweep
+    /// everywhere else.
+    fn default() -> Self {
+        if cfg!(target_os = "linux") {
+            ReactorBackend::Epoll
+        } else {
+            ReactorBackend::Sweep
         }
     }
 }
@@ -1061,37 +1046,16 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Creates a reactor on the platform-default backend (see
-    /// [`ReactorBackend::from_env`]).
-    ///
-    /// # Errors
-    /// An [`io::Error`] when the readiness source cannot be created.
-    pub fn new() -> io::Result<Self> {
-        Self::new_instrumented(Registry::disabled())
-    }
-
-    /// [`Reactor::new`] recording traffic into `metrics`:
+    /// Creates a reactor on `backend` (tests pin the sweep fallback
+    /// this way), recording traffic into `metrics`:
     /// `edgebol_oran_reactor_turns_total`, `_frames_total{dir}`,
     /// `_bytes_total{dir}`, `_accepts_total` and the
     /// `edgebol_oran_reactor_sessions` gauge.
     ///
     /// # Errors
-    /// An [`io::Error`] when the readiness source cannot be created.
-    pub fn new_instrumented(metrics: Registry) -> io::Result<Self> {
-        Self::build(ReactorBackend::from_env(), metrics)
-    }
-
-    /// Creates a reactor on an explicit backend (tests pin the sweep
-    /// fallback this way without touching the environment).
-    ///
-    /// # Errors
     /// An [`io::Error`] when the backend is unsupported on this platform
     /// or the readiness source cannot be created.
-    pub fn with_backend(backend: ReactorBackend) -> io::Result<Self> {
-        Self::build(backend, Registry::disabled())
-    }
-
-    fn build(backend: ReactorBackend, metrics: Registry) -> io::Result<Self> {
+    pub fn new(backend: ReactorBackend, metrics: Registry) -> io::Result<Self> {
         let poller = Poller::new(backend)?;
         Ok(Reactor {
             core: Arc::new(Mutex::new(Core {
@@ -1337,10 +1301,18 @@ impl Drop for ReactorLink {
 mod tests {
     use super::*;
 
+    /// A reactor on the platform's backend, recording nothing.
+    fn reactor() -> Reactor {
+        Reactor::new(ReactorBackend::default(), Registry::disabled()).unwrap()
+    }
+
     fn reactors() -> Vec<Reactor> {
-        let mut rs = vec![Reactor::with_backend(ReactorBackend::Sweep).expect("sweep reactor")];
+        let mut rs =
+            vec![Reactor::new(ReactorBackend::Sweep, Registry::disabled()).expect("sweep reactor")];
         if cfg!(target_os = "linux") {
-            rs.push(Reactor::with_backend(ReactorBackend::Epoll).expect("epoll reactor"));
+            rs.push(
+                Reactor::new(ReactorBackend::Epoll, Registry::disabled()).expect("epoll reactor"),
+            );
         }
         rs
     }
@@ -1361,7 +1333,7 @@ mod tests {
 
     #[test]
     fn empty_and_large_frames_cross_the_pair() {
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let (a, b) = r.pair().unwrap();
         a.send(Bytes::new()).unwrap();
         let big = Bytes::from(vec![0xAB; 300_000]);
@@ -1374,7 +1346,7 @@ mod tests {
     fn quiescent_try_recv_never_misses_a_sent_frame() {
         // The bit-identity property in miniature: a frame sent before
         // try_recv is always visible to it, with no sleeps in between.
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let (a, b) = r.pair().unwrap();
         for i in 0..200u32 {
             a.send(Bytes::from(i.to_be_bytes().to_vec())).unwrap();
@@ -1385,7 +1357,7 @@ mod tests {
 
     #[test]
     fn dropped_peer_drains_then_reports_closed() {
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let (a, b) = r.pair().unwrap();
         a.send(Bytes::from_static(b"last words")).unwrap();
         drop(a);
@@ -1399,7 +1371,7 @@ mod tests {
 
     #[test]
     fn oversized_send_is_a_framing_error() {
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let (a, _b) = r.pair().unwrap();
         let huge = Bytes::from(vec![0u8; MAX_FRAME_LEN + 1]);
         assert!(matches!(a.send(huge), Err(OranError::Framing(_))));
@@ -1409,7 +1381,7 @@ mod tests {
     fn oversized_declared_length_kills_the_stream_with_framing() {
         // A hostile peer writing an impossible prefix: the link surfaces
         // Framing, and keeps surfacing it (persistent terminal error).
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = TcpStream::connect(addr).unwrap();
@@ -1440,7 +1412,7 @@ mod tests {
 
     #[test]
     fn listener_accepts_through_turns() {
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let listener = r.bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr();
         let mut client = TcpStream::connect(addr).unwrap();
@@ -1475,7 +1447,7 @@ mod tests {
         // Satellite contract: a length prefix and payload split across
         // many writes — with try_recv (and thus WouldBlock) observed
         // between every chunk — reassemble without loss.
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let listener = r.bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1530,7 +1502,7 @@ mod tests {
 
     #[test]
     fn token_slots_are_recycled() {
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let (a, b) = r.pair().unwrap();
         drop(a);
         drop(b);
@@ -1543,7 +1515,7 @@ mod tests {
 
     #[test]
     fn links_move_across_threads() {
-        let r = Reactor::new().unwrap();
+        let r = reactor();
         let (a, b) = r.pair().unwrap();
         let t = std::thread::spawn(move || {
             for i in 0..50u8 {

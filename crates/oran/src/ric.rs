@@ -8,7 +8,7 @@
 
 use crate::a1::{A1Message, PolicyId, PolicyStatus, RadioPolicy};
 use crate::e2::{E2Codec, E2Message, KpiReport, RAN_FUNC_KPI};
-use crate::reactor::{Reactor, ReactorLink, ReactorListener};
+use crate::reactor::{Reactor, ReactorBackend, ReactorLink, ReactorListener};
 use crate::transport::{Endpoint, Link};
 use crate::OranError;
 use bytes::{Bytes, BytesMut};
@@ -387,13 +387,18 @@ pub struct RicServer {
 
 impl RicServer {
     /// Binds the E2 accept socket on `addr` (use port 0 to let the OS
-    /// pick) over a dedicated reactor; `kpi_period_ms` is the report
-    /// period each new session is subscribed with.
+    /// pick) over a dedicated reactor on `backend`; `kpi_period_ms` is
+    /// the report period each new session is subscribed with.
     ///
     /// # Errors
     /// [`OranError::Io`] when binding or reactor setup fails.
-    pub fn bind(addr: &str, kpi_period_ms: u32, metrics: Registry) -> Result<Self, OranError> {
-        let reactor = Reactor::new_instrumented(metrics.clone())?;
+    pub fn bind(
+        addr: &str,
+        kpi_period_ms: u32,
+        backend: ReactorBackend,
+        metrics: Registry,
+    ) -> Result<Self, OranError> {
+        let reactor = Reactor::new(backend, metrics.clone())?;
         let listener = reactor.bind(addr)?;
         metrics.describe("edgebol_oran_ricserver_periods_total", "RicServer poll calls");
         metrics.describe("edgebol_oran_ricserver_kpi_total", "KPI reports received from E2 nodes");
@@ -688,7 +693,9 @@ mod tests {
 
         const NODES: usize = 8;
         let reg = Registry::new();
-        let mut server = RicServer::bind("127.0.0.1:0", 1_000, reg.clone()).expect("bind");
+        let mut server =
+            RicServer::bind("127.0.0.1:0", 1_000, ReactorBackend::default(), reg.clone())
+                .expect("bind");
         let addr = server.local_addr().to_string();
 
         // Each "node" is a blocking client thread speaking framed E2:
@@ -775,7 +782,9 @@ mod tests {
         use std::time::{Duration, Instant};
 
         let reg = Registry::new();
-        let mut server = RicServer::bind("127.0.0.1:0", 1_000, reg.clone()).expect("bind");
+        let mut server =
+            RicServer::bind("127.0.0.1:0", 1_000, ReactorBackend::default(), reg.clone())
+                .expect("bind");
         let ops = server.serve_ops("127.0.0.1:0", OpsState::new(reg.clone())).expect("ops bind");
         let ops_addr = ops.local_addr().to_string();
         let e2_addr = server.local_addr().to_string();

@@ -19,14 +19,23 @@ use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
+use edgebol_metrics::Registry;
+use edgebol_oran::{ChaosConfig, TransportKind};
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 
 fn run_phase(label: &str, delta2: f64, periods: usize, seed: u64) -> Trace {
     let spec = ProblemSpec::new(1.0, delta2, 3.0, 0.5);
     let env = FlowTestbed::new(Calibration::default(), Scenario::heterogeneous(4), seed);
     let agent = EdgeBolAgent::paper(&spec, seed);
-    let mut orch = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process O-RAN chain wires up");
+    let mut orch = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        ChaosConfig::disabled(),
+        Registry::disabled(),
+        TransportKind::Poll,
+    )
+    .expect("in-process O-RAN chain wires up");
     let trace = orch.try_run(periods).expect("in-process control plane");
     let u = trace.tail_mean_control(20);
     println!("--- {label} (delta2 = {delta2}) ---");

@@ -17,15 +17,24 @@
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
+use edgebol_metrics::Registry;
+use edgebol_oran::{ChaosConfig, TransportKind};
 use edgebol_testbed::{Calibration, DesTestbed, Scenario};
 
 fn main() {
     let spec = ProblemSpec::new(1.0, 8.0, 0.4, 0.5);
     let env = DesTestbed::new(Calibration::default(), Scenario::dynamic(), 11);
     let agent = EdgeBolAgent::paper(&spec, 11);
-    let mut orch = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process O-RAN chain wires up")
-        .with_constraint_schedule(vec![(75, 0.6, 0.5)]);
+    let mut orch = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        ChaosConfig::disabled(),
+        Registry::disabled(),
+        TransportKind::Poll,
+    )
+    .expect("in-process O-RAN chain wires up")
+    .with_constraint_schedule(vec![(75, 0.6, 0.5)]);
     orch.record_safe_set = true;
 
     println!("t    snr_zone  d_max  delay   mAP    |safe|   control [res, air, gpu, mcs]  ok");

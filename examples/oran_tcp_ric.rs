@@ -76,7 +76,9 @@ fn main() {
     let rounds = knob("EDGEBOL_ROUNDS", 10);
 
     let reg = Registry::new();
-    let mut server = RicServer::bind("127.0.0.1:0", 1_000, reg.clone()).expect("bind E2 endpoint");
+    let backend = edgebol_bench::env::reactor_backend();
+    let mut server =
+        RicServer::bind("127.0.0.1:0", 1_000, backend, reg.clone()).expect("bind E2 endpoint");
     let addr = server.local_addr().to_string();
     println!(
         "E2-over-TCP listening on {addr} ({:?} backend): {nodes} nodes x {rounds} rounds",

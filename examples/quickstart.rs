@@ -12,6 +12,8 @@
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
+use edgebol_metrics::Registry;
+use edgebol_oran::{ChaosConfig, TransportKind};
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 
 fn main() {
@@ -23,8 +25,15 @@ fn main() {
     let env = FlowTestbed::new(Calibration::default(), Scenario::single_user(35.0), 42);
     let agent = EdgeBolAgent::paper(&spec, 42);
 
-    let mut orch = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process O-RAN chain wires up");
+    let mut orch = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        ChaosConfig::disabled(),
+        Registry::disabled(),
+        TransportKind::Poll,
+    )
+    .expect("in-process O-RAN chain wires up");
     println!("t    cost     delay   mAP    server_W  bs_W   control [res, airtime, gpu, mcs]  ok");
     let mut trace = edgebol_core::trace::Trace::default();
     for t in 0..80 {

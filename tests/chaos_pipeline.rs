@@ -28,6 +28,7 @@ use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::{Orchestrator, OrchestratorError};
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
+use edgebol_metrics::Registry;
 use edgebol_oran::{
     ChaosConfig, FallbackMode, FaultKind, FaultRecord, LaneConfig, LinkId, MsgClass, RecoveryPolicy,
 };
@@ -43,8 +44,18 @@ fn build(env_seed: u64, chaos: ChaosConfig) -> Orchestrator {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), env_seed);
     let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed);
-    Orchestrator::new_with_chaos(Box::new(env), Box::new(agent), spec, chaos)
-        .expect("in-process setup never fails pre-arm")
+    let o = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        chaos,
+        Registry::disabled(),
+        edgebol_bench::env::transport(),
+    )
+    .expect("setup never fails pre-arm");
+    let wanted = edgebol_bench::env::transport();
+    assert_eq!(o.transport(), wanted, "the suite must run on the EDGEBOL_TRANSPORT transport");
+    o
 }
 
 /// One full episode; returns the trace plus the orchestrator for its
@@ -90,14 +101,8 @@ fn zero_rate_chaos_is_byte_identical_to_fault_free() {
     let seed = 31 + seed_offset();
     // A plan with a live seed but all-zero rates...
     let (chaotic, o) = episode(seed, 40, ChaosConfig::uniform(777, LaneConfig::off()));
-    // ...against the plain fault-free constructor.
-    let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
-    let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), seed);
-    let agent = EdgeBolAgent::quick_for_tests(&spec, seed);
-    let clean = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process setup")
-        .try_run(40)
-        .expect("in-process control plane");
+    // ...against a fault-free run.
+    let clean = build(seed, ChaosConfig::disabled()).try_run(40).expect("fault-free control plane");
     assert_eq!(chaotic, clean, "zero-rate chaos must be transparent");
     assert!(o.fault_ledger().is_empty());
     assert_eq!(o.degraded_events(), 0);

@@ -2,19 +2,38 @@
 //! control plane ↔ testbed) must learn, stay safe, and beat baselines.
 
 use edgebol_bandit::{Constraints, ControlGrid, Oracle};
-use edgebol_core::agent::{DdpgAgent, EdgeBolAgent};
+use edgebol_core::agent::{Agent, DdpgAgent, EdgeBolAgent};
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
-use edgebol_testbed::{Calibration, ControlInput, DesTestbed, FlowTestbed, Scenario};
+use edgebol_metrics::Registry;
+use edgebol_oran::ChaosConfig;
+use edgebol_testbed::{Calibration, ControlInput, DesTestbed, Environment, FlowTestbed, Scenario};
+
+/// Wires `env` and `agent` behind a fault-free O-RAN chain on the
+/// transport `EDGEBOL_TRANSPORT` selects.
+fn orchestrator(
+    env: Box<dyn Environment>,
+    agent: Box<dyn Agent>,
+    spec: ProblemSpec,
+) -> Orchestrator {
+    Orchestrator::new_with_transport(
+        env,
+        agent,
+        spec,
+        ChaosConfig::disabled(),
+        Registry::disabled(),
+        edgebol_bench::env::transport(),
+    )
+    .expect("control-plane setup")
+}
 
 fn run_edgebol(spec: ProblemSpec, periods: usize, seed: u64) -> Trace {
     let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), seed);
     let agent = EdgeBolAgent::paper(&spec, seed);
-    Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process setup")
+    orchestrator(Box::new(env), Box::new(agent), spec)
         .try_run(periods)
-        .expect("in-process control plane")
+        .expect("fault-free control plane")
 }
 
 #[test]
@@ -36,10 +55,9 @@ fn learning_works_on_the_des_too() {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = DesTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 22);
     let agent = EdgeBolAgent::paper(&spec, 22);
-    let trace = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process setup")
+    let trace = orchestrator(Box::new(env), Box::new(agent), spec)
         .try_run(60)
-        .expect("in-process control plane");
+        .expect("fault-free control plane");
     assert!(trace.satisfaction_rate(20) > 0.8, "satisfaction {}", trace.satisfaction_rate(20));
     assert!(trace.tail_mean_cost(10) < trace.costs()[..8].iter().sum::<f64>() / 8.0);
 }
@@ -89,12 +107,11 @@ fn edgebol_adapts_to_constraint_changes_faster_than_ddpg() {
     // less often than DDPG over the adjustment window.
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let schedule = vec![(120usize, 0.4, 0.55)];
-    let run = |agent: Box<dyn edgebol_core::agent::Agent>| -> Trace {
+    let run = |agent: Box<dyn Agent>| -> Trace {
         let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 24);
-        let mut orch = Orchestrator::new(Box::new(env), agent, spec)
-            .expect("in-process setup")
-            .with_constraint_schedule(schedule.clone());
-        orch.try_run(240).expect("in-process control plane")
+        let mut orch =
+            orchestrator(Box::new(env), agent, spec).with_constraint_schedule(schedule.clone());
+        orch.try_run(240).expect("fault-free control plane")
     };
     let eb = run(Box::new(EdgeBolAgent::paper(&spec, 25)));
     let dd = run(Box::new(DdpgAgent::new(&spec, 25)));
@@ -115,10 +132,9 @@ fn multi_user_learning_close_to_oracle() {
     // toward the (long-delay, low-power) optimum of this lax setting.
     let env = FlowTestbed::new(Calibration::default(), scenario.clone(), 0xC00);
     let agent = EdgeBolAgent::paper(&spec, 0x55);
-    let trace = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process setup")
+    let trace = orchestrator(Box::new(env), Box::new(agent), spec)
         .try_run(250)
-        .expect("in-process control plane");
+        .expect("fault-free control plane");
 
     let grid = ControlGrid::paper();
     let probe = FlowTestbed::new(Calibration::default(), scenario.clone(), 0);

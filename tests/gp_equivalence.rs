@@ -23,6 +23,8 @@ use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
 use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
+use edgebol_metrics::Registry;
+use edgebol_oran::ChaosConfig;
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -98,15 +100,22 @@ fn fixed_seed_episode_plans_identically_under_both_strategies() {
         cfg.candidate_subsample = Some(256);
         cfg.max_observations = Some(40);
         cfg.acquisition = Acquisition::ConstrainedLcb;
-        cfg.gp_evict = Some(strategy);
+        cfg.gp_evict = strategy;
         let agent = EdgeBolAgent::with_config(&spec, cfg);
         let env = FlowTestbed::new(
             Calibration::fast(),
             Scenario::single_user(35.0),
             0x900 ^ chaos_seed(),
         );
-        let mut o = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-            .expect("episode setup cannot fail");
+        let mut o = Orchestrator::new_with_transport(
+            Box::new(env),
+            Box::new(agent),
+            spec,
+            ChaosConfig::disabled(),
+            Registry::disabled(),
+            edgebol_bench::env::transport(),
+        )
+        .expect("episode setup cannot fail");
         o.try_run(120).expect("no chaos configured: the episode cannot abort")
     };
     let downdate = run(EvictStrategy::Downdate);
@@ -115,16 +124,13 @@ fn fixed_seed_episode_plans_identically_under_both_strategies() {
     assert_eq!(downdate, rebuild, "downdate and rebuild episodes diverged (plan or realized cost)");
 }
 
-/// The environment knob wires through: a GP built while
-/// `EDGEBOL_GP_EVICT` has no override defaults to the downdate, and the
-/// explicit builder always wins over the environment.
+/// A fresh GP defaults to the downdate, and the explicit builder always
+/// wins over that default.
 #[test]
 fn builder_overrides_env_default() {
     let gp = GaussianProcess::new(Kernel::matern32(1.0, vec![0.3]), 1e-4)
         .with_evict_strategy(EvictStrategy::Rebuild);
     assert_eq!(gp.evict_strategy(), EvictStrategy::Rebuild);
-    if std::env::var("EDGEBOL_GP_EVICT").is_err() {
-        let fresh = GaussianProcess::new(Kernel::matern32(1.0, vec![0.3]), 1e-4);
-        assert_eq!(fresh.evict_strategy(), EvictStrategy::Downdate);
-    }
+    let fresh = GaussianProcess::new(Kernel::matern32(1.0, vec![0.3]), 1e-4);
+    assert_eq!(fresh.evict_strategy(), EvictStrategy::Downdate);
 }

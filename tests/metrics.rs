@@ -36,8 +36,15 @@ fn build(env_seed: u64, chaos: ChaosConfig, metrics: Registry) -> Orchestrator {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), env_seed);
     let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed);
-    Orchestrator::new_instrumented(Box::new(env), Box::new(agent), spec, chaos, metrics)
-        .expect("in-process setup never fails pre-arm")
+    Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        chaos,
+        metrics,
+        edgebol_bench::env::transport(),
+    )
+    .expect("setup never fails pre-arm")
 }
 
 /// One instrumented episode into a fresh registry.

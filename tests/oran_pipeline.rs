@@ -6,9 +6,10 @@ use bytes::{Bytes, BytesMut};
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
+use edgebol_metrics::Registry;
 use edgebol_oran::{
-    duplex_pair, A1Message, E2Codec, E2Message, E2Node, FramedTcp, KpiReport, NearRtRic, NonRtRic,
-    PolicyStatus, RadioPolicy, RicEvent,
+    duplex_pair, A1Message, ChaosConfig, E2Codec, E2Message, E2Node, FramedTcp, KpiReport,
+    NearRtRic, NonRtRic, PolicyStatus, RadioPolicy, RicEvent,
 };
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 use std::net::TcpListener;
@@ -132,10 +133,17 @@ fn orchestrator_policies_actually_transit_the_control_plane() {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 31);
     let agent = EdgeBolAgent::quick_for_tests(&spec, 31);
-    let trace = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process setup")
-        .try_run(15)
-        .expect("in-process control plane");
+    let trace = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        ChaosConfig::disabled(),
+        Registry::disabled(),
+        edgebol_bench::env::transport(),
+    )
+    .expect("control-plane setup")
+    .try_run(15)
+    .expect("fault-free control plane");
     for r in &trace.records {
         let milli = r.control.airtime * 1000.0;
         assert!(

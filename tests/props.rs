@@ -7,6 +7,7 @@ use edgebol_core::problem::ProblemSpec;
 use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
 use edgebol_linalg::{Cholesky, Mat};
 use edgebol_media::{mean_average_precision, Dataset, DetectorModel};
+use edgebol_metrics::Registry;
 use edgebol_oran::{
     corrupt_payload, A1Message, ChaosConfig, E2Codec, E2Message, KpiReport, LinkId, OranError,
     PolicyId, RadioPolicy, A1_POLICY_TYPE_RADIO,
@@ -319,11 +320,13 @@ proptest! {
             let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
             let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), 11);
             let agent = EdgeBolAgent::quick_for_tests(&spec, 11);
-            let mut o = Orchestrator::new_with_chaos(
+            let mut o = Orchestrator::new_with_transport(
                 Box::new(env),
                 Box::new(agent),
                 spec,
                 ChaosConfig::all_kinds(chaos_seed, rate),
+                Registry::disabled(),
+                edgebol_bench::env::transport(),
             )
             .expect("setup is pre-arm");
             let trace = o.try_run(6).expect("recoverable-only schedule must not abort");
@@ -361,8 +364,15 @@ proptest! {
             if let Some(h) = heal {
                 cfg = cfg.with_heal(h);
             }
-            let mut o = Orchestrator::new_with_chaos(Box::new(env), Box::new(agent), spec, cfg)
-                .expect("setup is pre-arm");
+            let mut o = Orchestrator::new_with_transport(
+                Box::new(env),
+                Box::new(agent),
+                spec,
+                cfg,
+                Registry::disabled(),
+                edgebol_bench::env::transport(),
+            )
+            .expect("setup is pre-arm");
             let trace = o.try_run(20).expect("sticky fallback never aborts");
             (
                 trace,
@@ -491,5 +501,173 @@ proptest! {
         prop_assert_eq!(report.cold_restores, 1, "{}", report.summary());
         prop_assert_eq!(report.failed, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Knob, chaos-spec and kill-schedule fuzz: every `EDGEBOL_*` value parser
+// takes untrusted text from the environment. On any input it must return
+// `Ok` or a typed `Err(String)` — never panic — and an accepted value must
+// parse to the same result again.
+
+/// Runs `parse` twice on `s`: no panic, a non-empty error message, and a
+/// deterministic verdict.
+fn parses_stably<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    s: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<(), String> {
+    let (first, again) = (parse(s), parse(s));
+    if let Err(msg) = &first {
+        prop_assert!(!msg.is_empty(), "{name}: empty error on {s:?}");
+    }
+    prop_assert!(first == again, "{name}: {s:?} parsed to {first:?}, then to {again:?}");
+    Ok(())
+}
+
+/// Every knob parser, the chaos-spec parser and the kill-schedule parser
+/// on `s` and on each of its prefixes.
+fn knob_parsers_hold(s: &str) -> Result<(), String> {
+    use edgebol_bench::env;
+    for cut in (0..=s.len()).filter(|&c| s.is_char_boundary(c)) {
+        let s = &s[..cut];
+        parses_stably("parse_threads", s, env::parse_threads)?;
+        parses_stably("parse_metrics_mode", s, env::parse_metrics_mode)?;
+        parses_stably("parse_chaos", s, env::parse_chaos)?;
+        parses_stably("ChaosConfig::from_spec", s, ChaosConfig::from_spec)?;
+        parses_stably("parse_fallback", s, env::parse_fallback)?;
+        parses_stably("parse_transport", s, env::parse_transport)?;
+        parses_stably("parse_reactor_backend", s, env::parse_reactor_backend)?;
+        parses_stably("parse_ops_addr", s, env::parse_ops_addr)?;
+        parses_stably("parse_usize", s, env::parse_usize)?;
+        parses_stably("parse_usize_list", s, env::parse_usize_list)?;
+        parses_stably("parse_positive_f64", s, env::parse_positive_f64)?;
+        parses_stably("parse_fleet_mode", s, env::parse_fleet_mode)?;
+        parses_stably("parse_kill_schedule", s, env::parse_kill_schedule)?;
+    }
+    Ok(())
+}
+
+/// One valid value per parser: the documented examples and defaults.
+const KNOB_SEEDS: [&str; 16] = [
+    "4",
+    "summary",
+    "dump=/tmp/m",
+    "seed=7,rate=0.05,delay=0.02",
+    "seed=3,dup=0.1,corrupt=0.2,reorder=0.1,delay_ops=4,burst_every=50,burst_len=5,burst_mult=3",
+    "cut=e2@40,heal=e2@25",
+    "sticky",
+    "reactor",
+    "sweep",
+    "127.0.0.1:9100",
+    "[::1]:0",
+    "10,32,100,316,1000",
+    "8.0",
+    "warm",
+    "slice:3@120,slice:0@40",
+    "",
+];
+
+/// Chaos-spec keys and the values they may meet, well- or ill-typed.
+const CHAOS_KEYS: [&str; 14] = [
+    "seed",
+    "rate",
+    "drop",
+    "dup",
+    "duplicate",
+    "corrupt",
+    "delay",
+    "reorder",
+    "delay_ops",
+    "burst_every",
+    "burst_len",
+    "burst_mult",
+    "cut",
+    "heal",
+];
+const CHAOS_VALUES: [&str; 12] =
+    ["0", "7", "0.05", "1", "-0.5", "1e400", "nan", "inf", "e2@40", "a1@0", "e2@", "x"];
+
+/// The other parsers' words and the separators and number syntax all of
+/// them share.
+const KNOB_WORDS: [&str; 12] = [
+    "off",
+    "on",
+    "sticky",
+    "summary",
+    "dump=",
+    "poll",
+    "reactor",
+    "epoll",
+    "sweep",
+    "both",
+    "slice:",
+    "127.0.0.1",
+];
+const KNOB_SYMBOLS: [&str; 12] = ["=", ",", "@", ":", ".", "-", "+", " ", "e", "0", "9", "120"];
+
+fn pick(list: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..list.len()).prop_map(move |i| list[i])
+}
+
+/// One token of the parsers' own alphabet.
+fn knob_token() -> BoxedStrategy<&'static str> {
+    prop_oneof![pick(&KNOB_SYMBOLS), pick(&KNOB_WORDS), pick(&CHAOS_KEYS), pick(&CHAOS_VALUES)]
+        .boxed()
+}
+
+/// Any character, with ASCII over-represented.
+fn knob_char() -> impl Strategy<Value = char> {
+    let from = |c: u32| char::from_u32(c).expect("a scalar value");
+    prop_oneof![
+        (0x20u32..0x7f).prop_map(from),
+        (0u32..0x20).prop_map(from),
+        (0x80u32..0xd800).prop_map(from)
+    ]
+}
+
+proptest! {
+    #[test]
+    fn knob_parsers_survive_arbitrary_text(
+        chars in proptest::collection::vec(knob_char(), 0..48),
+    ) {
+        knob_parsers_hold(&chars.into_iter().collect::<String>())?;
+    }
+
+    #[test]
+    fn knob_parsers_survive_their_own_alphabet(
+        tokens in proptest::collection::vec(knob_token(), 0..16),
+    ) {
+        knob_parsers_hold(&tokens.concat())?;
+    }
+
+    #[test]
+    fn knob_parsers_survive_key_value_lists(
+        pairs in proptest::collection::vec(
+            (0..CHAOS_KEYS.len(), 0..CHAOS_VALUES.len()),
+            1..5,
+        ),
+    ) {
+        let spec: Vec<String> =
+            pairs.iter().map(|&(k, v)| format!("{}={}", CHAOS_KEYS[k], CHAOS_VALUES[v])).collect();
+        knob_parsers_hold(&spec.join(","))?;
+    }
+
+    #[test]
+    fn knob_parsers_survive_mutated_valid_values(
+        which in 0usize..KNOB_SEEDS.len(),
+        edits in proptest::collection::vec((0.0f64..1.0, any::<u8>()), 1..4),
+        tail in proptest::collection::vec(knob_token(), 0..3),
+    ) {
+        let mut bytes = KNOB_SEEDS[which].as_bytes().to_vec();
+        if !bytes.is_empty() {
+            for (at, byte) in edits {
+                let i = ((bytes.len() - 1) as f64 * at) as usize;
+                bytes[i] = byte;
+            }
+        }
+        let mut s = String::from_utf8_lossy(&bytes).into_owned();
+        s.push_str(&tail.concat());
+        knob_parsers_hold(&s)?;
     }
 }

@@ -117,7 +117,9 @@ fn one_reactor_thread_sustains_a_hundred_e2_sessions() {
     const KPIS_PER_NODE: usize = 3;
 
     let reg = Registry::new();
-    let mut server = RicServer::bind("127.0.0.1:0", 1_000, reg.clone()).expect("bind");
+    let mut server =
+        RicServer::bind("127.0.0.1:0", 1_000, edgebol_bench::env::reactor_backend(), reg.clone())
+            .expect("bind");
     let addr = server.local_addr().to_string();
 
     let handles: Vec<_> = (0..NODES)
@@ -225,7 +227,9 @@ fn http_churn_recycles_slots_without_disturbing_live_e2_sessions() {
     const CHURN: usize = 120;
 
     let reg = Registry::new();
-    let mut server = RicServer::bind("127.0.0.1:0", 1_000, reg.clone()).expect("bind");
+    let mut server =
+        RicServer::bind("127.0.0.1:0", 1_000, edgebol_bench::env::reactor_backend(), reg.clone())
+            .expect("bind");
     let ops = server.serve_ops("127.0.0.1:0", OpsState::new(reg.clone())).expect("ops bind");
     let ops_addr = ops.local_addr().to_string();
     let e2_addr = server.local_addr().to_string();
@@ -355,10 +359,10 @@ fn fixed_seed_episode_is_unperturbed_by_http_churn() {
 
 #[test]
 fn sweep_backend_carries_the_same_framed_traffic() {
-    // The portable fallback backend, pinned explicitly (no env knob, so
-    // this holds even when CI exports EDGEBOL_REACTOR_BACKEND=epoll):
-    // frames cross a sweep-polled pair exactly as they do under epoll.
-    let reactor = Reactor::with_backend(ReactorBackend::Sweep).expect("sweep reactor");
+    // The portable fallback backend, pinned explicitly whatever
+    // EDGEBOL_REACTOR_BACKEND says: frames cross a sweep-polled pair
+    // exactly as they do under epoll.
+    let reactor = Reactor::new(ReactorBackend::Sweep, Registry::disabled()).expect("sweep reactor");
     assert_eq!(reactor.backend(), ReactorBackend::Sweep);
     let (a, b) = reactor.pair().expect("loopback pair");
     for round in 0u32..32 {

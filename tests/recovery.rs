@@ -40,8 +40,18 @@ fn build(env_seed: u64, chaos: ChaosConfig, metrics: Registry) -> Orchestrator {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::recovery_suite(), env_seed);
     let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed);
-    Orchestrator::new_instrumented(Box::new(env), Box::new(agent), spec, chaos, metrics)
-        .expect("in-process setup never fails pre-arm")
+    let o = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        chaos,
+        metrics,
+        edgebol_bench::env::transport(),
+    )
+    .expect("setup never fails pre-arm");
+    let wanted = edgebol_bench::env::transport();
+    assert_eq!(o.transport(), wanted, "the suite must run on the EDGEBOL_TRANSPORT transport");
+    o
 }
 
 /// The acceptance schedule from the issue: cut the E2 link after 40
